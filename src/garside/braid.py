@@ -114,9 +114,6 @@ class BraidContext(GarsideContext):
             )
         return None
 
-    def _hash_simple(self, s):
-        return hash(s)
-
     # -- native fast paths ----------------------------------------------------
     # Each override charges one counter unit and then works directly on the
     # permutation tables; the generic routines in SimpleLatticeOps remain

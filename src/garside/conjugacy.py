@@ -1,23 +1,26 @@
 """Conjugacy decision and search via sliding circuits.
 
 The solver follows the staged plan: reach a sliding circuit by iterated
-cyclic sliding while keeping a short conjugator; at each known circuit
-element, find the outgoing indecomposable conjugators by combining a
-minimal summit conjugator with iterated pullbacks and transports along
-the circuit; explore the resulting finite connected graph breadth first
-until the target is met or the component is exhausted.  A brute-force
-solver that conjugates by every simple element is kept as a desk-scale
-reference oracle.
+cyclic sliding while keeping a short conjugator; walk the graph whose
+vertices are sliding circuits breadth first, computing the outgoing
+indecomposable conjugators once per circuit (at its first-found element)
+by combining a minimal summit conjugator with iterated pullbacks and
+transports along the circuit; stop when the target is met or the
+component is exhausted.  The other elements of a circuit are reached by
+cyclic sliding itself.  A brute-force solver that conjugates by every
+simple element is kept as a desk-scale reference oracle.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from collections import deque
+from typing import Callable
 
 from .contract import GarsideContext, Simple, require_same_context
 from .elements import Element, atom_element, identity_element
-from .errors import GarsideError, InternalInvariantError, OracleSizeError
+from .errors import GarsideError, InternalInvariantError
+from .oracle import enumerate_simples
 from .sliding import (
     Trajectory,
     minimal_sss_conjugator,
@@ -34,27 +37,19 @@ class RunStats:
 
     ``trajectory_entry`` is the largest pre-periodic trajectory length
     seen, ``circuit_period`` the largest sliding-circuit length,
-    ``transport_reps``/``pullback_reps`` collect the distances at which
-    iterated transports/pullbacks first repeated, ``sc_size`` counts the
-    vertices explored, and ``contract_calls`` snapshots the context's
-    basic-operation counter.  No a-priori bounds are claimed for any of
-    these; they are observations.
+    ``r_max``/``pullback_max`` the largest distances at which iterated
+    transports/pullbacks first repeated, ``sc_size`` counts the elements
+    of the circuits explored, and ``contract_calls`` snapshots the
+    context's basic-operation counter.  No a-priori bounds are claimed for
+    any of these; they are observations.
     """
 
     trajectory_entry: int = 0
     circuit_period: int = 0
-    transport_reps: list[int] = dataclasses.field(default_factory=list)
-    pullback_reps: list[int] = dataclasses.field(default_factory=list)
+    r_max: int = 0
+    pullback_max: int = 0
     sc_size: int = 0
     contract_calls: int = 0
-
-    @property
-    def r_max(self) -> int:
-        return max(self.transport_reps, default=0)
-
-    @property
-    def pullback_max(self) -> int:
-        return max(self.pullback_reps, default=0)
 
     def observe_trajectory(self, traj: Trajectory) -> None:
         self.trajectory_entry = max(self.trajectory_entry, traj.entry_index)
@@ -148,33 +143,45 @@ def _transport_once_around(circuit: Circuit, u: Element) -> Element:
     return u
 
 
-def transport_cycle(
-    circuit: Circuit,
-    u: Element,
-    stats: RunStats | None = None,
-    max_rounds: int | None = None,
-) -> TransportCycle:
-    """Transport u around the circuit until a value repeats."""
-    if max_rounds is None:
-        base = stats.repetition_guard(circuit.base.ctx.delta_norm) if stats \
-            else 4 * circuit.base.ctx.delta_norm + 16
-        max_rounds = base
+def _first_repetition(
+    step: Callable[[Element], Element], start: Element, max_rounds: int, kind: str
+) -> tuple[tuple[Element, ...], int, int]:
+    """Iterate step from start until a value repeats.
+
+    Returns ``(values, i1, i2)``: ``values[i]`` is the i-fold iterate,
+    ``i2 == len(values)``, and step of the last value is ``values[i1]``.
+    """
     seen: dict[Element, int] = {}
     values: list[Element] = []
-    cur = u
+    cur = start
     while cur not in seen:
         seen[cur] = len(values)
         values.append(cur)
         if len(values) > max_rounds:
             raise InternalInvariantError(
-                f"no transport repetition within {max_rounds} rounds"
+                f"no {kind} repetition within {max_rounds} rounds"
             )
-        cur = _transport_once_around(circuit, cur)
-    i1 = seen[cur]
-    i2 = len(values)
+        cur = step(cur)
+    return tuple(values), seen[cur], len(values)
+
+
+def _round_cap(circuit: Circuit, stats: RunStats | None) -> int:
+    return (stats or RunStats()).repetition_guard(circuit.base.ctx.delta_norm)
+
+
+def transport_cycle(
+    circuit: Circuit, u: Element, stats: RunStats | None = None
+) -> TransportCycle:
+    """Transport u around the circuit until a value repeats."""
+    values, i1, i2 = _first_repetition(
+        lambda cur: _transport_once_around(circuit, cur),
+        u,
+        _round_cap(circuit, stats),
+        "transport",
+    )
     if stats is not None:
-        stats.transport_reps.append(i2)
-    return TransportCycle(tuple(values), i1, i2)
+        stats.r_max = max(stats.r_max, i2)
+    return TransportCycle(values, i1, i2)
 
 
 def _pullback_once_around(circuit: Circuit, s: Element) -> Element:
@@ -188,42 +195,25 @@ def _pullback_once_around(circuit: Circuit, s: Element) -> Element:
 
 
 def iterated_pullback_to_repetition(
-    circuit: Circuit,
-    s: Element,
-    stats: RunStats | None = None,
-    max_rounds: int | None = None,
+    circuit: Circuit, s: Element, stats: RunStats | None = None
 ) -> Element:
     """Whole-circuit pullbacks of s until a value repeats; that value is returned."""
-    values, i1, _ = _pullback_orbit(circuit, s, stats, max_rounds)
+    values, i1, _ = _pullback_orbit(circuit, s, stats)
     return values[i1]
 
 
 def _pullback_orbit(
-    circuit: Circuit,
-    s: Element,
-    stats: RunStats | None = None,
-    max_rounds: int | None = None,
+    circuit: Circuit, s: Element, stats: RunStats | None = None
 ) -> tuple[tuple[Element, ...], int, int]:
-    if max_rounds is None:
-        base = stats.repetition_guard(circuit.base.ctx.delta_norm) if stats \
-            else 4 * circuit.base.ctx.delta_norm + 16
-        max_rounds = 2 * base
-    seen: dict[Element, int] = {}
-    values: list[Element] = []
-    cur = s
-    while cur not in seen:
-        seen[cur] = len(values)
-        values.append(cur)
-        if len(values) > max_rounds:
-            raise InternalInvariantError(
-                f"no pullback repetition within {max_rounds} rounds"
-            )
-        cur = _pullback_once_around(circuit, cur)
-    i1 = seen[cur]
-    i2 = len(values)
+    values, i1, i2 = _first_repetition(
+        lambda cur: _pullback_once_around(circuit, cur),
+        s,
+        2 * _round_cap(circuit, stats),
+        "pullback",
+    )
     if stats is not None:
-        stats.pullback_reps.append(i2)
-    return tuple(values), i1, i2
+        stats.pullback_max = max(stats.pullback_max, i2)
+    return values, i1, i2
 
 
 def _atom_divides(ctx: GarsideContext, a, x: Element) -> bool:
@@ -285,28 +275,30 @@ def arrows_at(
 class SCGraph:
     """The graph of sliding-circuit conjugates with its spanning tree.
 
-    Vertices are the elements reachable from the root by indecomposable
-    conjugators (the whole invariant set); arrows carry simple labels
-    with ``vertices[src]^label == vertices[dst]``.  ``parents[i]`` holds
-    the spanning-tree edge ``(parent index, label)`` that first reached
-    vertex i (None at the root), so conjugators from the root are
-    reconstructed on demand instead of being stored.
+    The graph's vertices are sliding circuits; ``vertices`` lists their
+    elements circuit by circuit in breadth-first order, and together they
+    are the whole invariant set reachable from the root.  Arrows start at
+    the first-found element of each circuit and carry simple labels with
+    ``vertices[src]^label == vertices[dst]``.  ``parents[i]`` holds the
+    spanning-tree edge ``(parent index, label)`` that reached vertex i
+    (None at the root): the arrow that reached the first element of a
+    circuit, and the preferred prefix of the previous element for the
+    others, since cyclic sliding is conjugation by it.  Conjugators from
+    the root are reconstructed on demand instead of being stored.
     """
 
     vertices: tuple[Element, ...]
     arrows: tuple[tuple[int, int, Simple], ...]
     parents: tuple[tuple[int, Simple] | None, ...]
     stats: RunStats
+    index: dict[Element, int] = dataclasses.field(repr=False, compare=False)
 
     @property
     def root(self) -> Element:
         return self.vertices[0]
 
     def index_of(self, v: Element) -> int | None:
-        for i, w in enumerate(self.vertices):
-            if w == v:
-                return i
-        return None
+        return self.index.get(v)
 
     def conjugator_from_root(self, vertex_id: int) -> Element:
         """Product of spanning-tree labels from the root to the vertex."""
@@ -328,171 +320,123 @@ class ConjugacyResult:
     stats: RunStats
 
 
+def _explore(
+    root: Element, stats: RunStats, target: Element | None = None
+) -> SCGraph:
+    """Breadth-first walk of the sliding-circuit graph from a periodic point.
+
+    Each newly reached element brings in its whole circuit, and arrows are
+    computed once per circuit, at that element.  The walk stops as soon as
+    ``target`` is a vertex; otherwise the whole component is enumerated.
+    """
+    index: dict[Element, int] = {}
+    vertices: list[Element] = []
+    parents: list[tuple[int, Simple] | None] = []
+    arrows: list[tuple[int, int, Simple]] = []
+    frontier: deque[tuple[int, Circuit]] = deque()
+
+    def add_circuit(w: Element, edge: tuple[int, Simple] | None) -> int:
+        circuit = circuit_of(w)
+        stats.circuit_period = max(stats.circuit_period, circuit.period)
+        first = len(vertices)
+        for k, v in enumerate(circuit.elements):
+            index[v] = first + k
+            vertices.append(v)
+            parents.append(edge)
+            edge = (first + k, preferred_prefix(v))
+        frontier.append((first, circuit))
+        return first
+
+    add_circuit(root, None)
+    while frontier and target not in index:
+        vid, circuit = frontier.popleft()
+        v = vertices[vid]
+        for label in arrows_at(circuit, stats):
+            w = v.conjugated_by_simple(label)
+            wid = index.get(w)
+            if wid is None:
+                wid = add_circuit(w, (vid, label))
+            arrows.append((vid, wid, label))
+            if target in index:
+                break
+    stats.sc_size = len(vertices)
+    return SCGraph(tuple(vertices), tuple(arrows), tuple(parents), stats, index)
+
+
 def enumerate_sc(x: Element, stats: RunStats | None = None) -> SCGraph:
     """The full graph of sliding-circuit conjugates of x."""
     if stats is None:
         stats = RunStats()
     start_calls = x.ctx.ops.calls
     root, _ = slide_to_circuit(x, stats)
-    index: dict[Element, int] = {root: 0}
-    vertices: list[Element] = [root]
-    parents: list[tuple[int, Simple] | None] = [None]
-    arrows: list[tuple[int, int, Simple]] = []
-    frontier: deque[int] = deque([0])
-    while frontier:
-        vid = frontier.popleft()
-        v = vertices[vid]
-        circuit = circuit_of(v)
-        stats.circuit_period = max(stats.circuit_period, circuit.period)
-        for label in arrows_at(circuit, stats):
-            w = v.conjugated_by_simple(label)
-            wid = index.get(w)
-            if wid is None:
-                wid = len(vertices)
-                index[w] = wid
-                vertices.append(w)
-                parents.append((vid, label))
-                frontier.append(wid)
-            arrows.append((vid, wid, label))
-    stats.sc_size = len(vertices)
+    graph = _explore(root, stats)
     stats.contract_calls += x.ctx.ops.calls - start_calls
-    return SCGraph(tuple(vertices), tuple(arrows), tuple(parents), stats)
+    return graph
 
 
 def solve_conjugacy(x: Element, y: Element) -> ConjugacyResult:
     """Decide conjugacy of x and y; on success return a verified conjugator.
 
-    Explores the sliding-circuit conjugates of x breadth first.  Each
-    newly found conjugate is compared against the slid form of y before
-    the novelty test, so a positive answer stops the search early; a
-    negative answer means the whole invariant set was enumerated.
+    Explores the sliding-circuit conjugates of x breadth first until the
+    slid form of y turns up, so a positive answer stops the search early;
+    a negative answer means the whole invariant set was enumerated.
     """
     require_same_context(x.ctx, y.ctx)
     stats = RunStats()
     start_calls = x.ctx.ops.calls
     x_tilde, c1 = slide_to_circuit(x, stats)
     y_tilde, c2 = slide_to_circuit(y, stats)
-
-    index: dict[Element, int] = {x_tilde: 0}
-    vertices: list[Element] = [x_tilde]
-    parents: list[tuple[int, Simple] | None] = [None]
-    frontier: deque[int] = deque([0])
-
-    def found(c_target: Element) -> ConjugacyResult:
-        witness = c1 * c_target * c2.inverse()
-        stats.sc_size = len(vertices)
-        stats.contract_calls += x.ctx.ops.calls - start_calls
-        return ConjugacyResult(True, witness, stats)
-
-    def conjugator_to(vid: int) -> Element:
-        labels: list[Simple] = []
-        i = vid
-        while parents[i] is not None:
-            i, label = parents[i]
-            labels.append(label)
-        c = identity_element(x.ctx)
-        for label in reversed(labels):
-            c = c.mul_simple(label)
-        return c
-
-    if x_tilde == y_tilde:
-        return found(identity_element(x.ctx))
-    while frontier:
-        vid = frontier.popleft()
-        v = vertices[vid]
-        circuit = circuit_of(v)
-        stats.circuit_period = max(stats.circuit_period, circuit.period)
-        for label in arrows_at(circuit, stats):
-            w = v.conjugated_by_simple(label)
-            if w == y_tilde:
-                return found(conjugator_to(vid).mul_simple(label))
-            if w not in index:
-                index[w] = len(vertices)
-                vertices.append(w)
-                parents.append((vid, label))
-                frontier.append(index[w])
-    stats.sc_size = len(vertices)
+    graph = _explore(x_tilde, stats, target=y_tilde)
+    vid = graph.index_of(y_tilde)
+    witness = None
+    if vid is not None:
+        witness = c1 * graph.conjugator_from_root(vid) * c2.inverse()
     stats.contract_calls += x.ctx.ops.calls - start_calls
-    return ConjugacyResult(False, None, stats)
+    return ConjugacyResult(vid is not None, witness, stats)
 
 
 # -- brute-force reference solver ------------------------------------------
 
-NAIVE_SIMPLE_LIMIT = 720
 
-
-def _all_simples(ctx: GarsideContext, limit: int) -> list[Simple]:
-    """Closure of {1} under right atom products, capped at ``limit``."""
-    seen = {ctx.identity}
-    order = [ctx.identity]
-    frontier = [ctx.identity]
-    while frontier:
-        nxt = []
-        for s in frontier:
-            for a in ctx.atoms:
-                t = ctx.mult_atom_right(s, a)
-                if t is not None and t not in seen:
-                    seen.add(t)
-                    order.append(t)
-                    nxt.append(t)
-                    if len(order) > limit:
-                        raise OracleSizeError(
-                            f"more than {limit} simple elements; "
-                            "refusing brute-force enumeration"
-                        )
-        frontier = nxt
-    return order
-
-
-def naive_solve(
-    x: Element, y: Element, max_simples: int = NAIVE_SIMPLE_LIMIT
-) -> ConjugacyResult:
-    """Reference solver: grow the invariant set by conjugating every vertex
-    by every simple element, keeping the conjugates that iterated sliding
-    brings back to themselves.  Desk scale only."""
-    require_same_context(x.ctx, y.ctx)
-    ctx = x.ctx
-    simples = _all_simples(ctx, max_simples)
-    stats = RunStats()
-    start_calls = ctx.ops.calls
-    x_tilde, c1 = slide_to_circuit(x, stats)
-    y_tilde, c2 = slide_to_circuit(y, stats)
-    conjugator: dict[Element, Element] = {x_tilde: identity_element(ctx)}
+def _naive_walk(
+    x_tilde: Element, target: Element | None = None
+) -> dict[Element, Element]:
+    """Grow the invariant set from the periodic point x̃ by conjugating every
+    vertex by every simple element, keeping the conjugates that iterated
+    sliding brings back to themselves.  Maps each vertex to a conjugator
+    from x̃; stops as soon as ``target`` is a vertex.  Desk scale only."""
+    simples = enumerate_simples(x_tilde.ctx)
+    conjugator: dict[Element, Element] = {x_tilde: identity_element(x_tilde.ctx)}
     frontier: deque[Element] = deque([x_tilde])
-    while frontier:
+    while frontier and target not in conjugator:
         v = frontier.popleft()
         cv = conjugator[v]
         for s in simples:
             w = v.conjugated_by_simple(s)
-            if w == y_tilde:
-                witness = c1 * cv.mul_simple(s) * c2.inverse()
-                stats.sc_size = len(conjugator)
-                stats.contract_calls += ctx.ops.calls - start_calls
-                return ConjugacyResult(True, witness, stats)
-            if w not in conjugator:
-                traj = slide_to_first_repetition(w)
-                if traj.entry_index == 0:
-                    conjugator[w] = cv.mul_simple(s)
-                    frontier.append(w)
+            if w not in conjugator and slide_to_first_repetition(w).entry_index == 0:
+                conjugator[w] = cv.mul_simple(s)
+                if w == target:
+                    break
+                frontier.append(w)
+    return conjugator
+
+
+def naive_solve(x: Element, y: Element) -> ConjugacyResult:
+    """Reference solver over the brute-force invariant set (desk scale only)."""
+    require_same_context(x.ctx, y.ctx)
+    stats = RunStats()
+    start_calls = x.ctx.ops.calls
+    x_tilde, c1 = slide_to_circuit(x, stats)
+    y_tilde, c2 = slide_to_circuit(y, stats)
+    conjugator = _naive_walk(x_tilde, y_tilde)
     stats.sc_size = len(conjugator)
-    stats.contract_calls += ctx.ops.calls - start_calls
-    return ConjugacyResult(False, None, stats)
+    stats.contract_calls += x.ctx.ops.calls - start_calls
+    c = conjugator.get(y_tilde)
+    if c is None:
+        return ConjugacyResult(False, None, stats)
+    return ConjugacyResult(True, c1 * c * c2.inverse(), stats)
 
 
-def naive_sc(x: Element, max_simples: int = NAIVE_SIMPLE_LIMIT) -> set[Element]:
+def naive_sc(x: Element) -> set[Element]:
     """The invariant vertex set, enumerated brute force (desk scale only)."""
-    ctx = x.ctx
-    simples = _all_simples(ctx, max_simples)
-    x_tilde, _ = slide_to_circuit(x)
-    seen = {x_tilde}
-    frontier: deque[Element] = deque([x_tilde])
-    while frontier:
-        v = frontier.popleft()
-        for s in simples:
-            w = v.conjugated_by_simple(s)
-            if w not in seen:
-                traj = slide_to_first_repetition(w)
-                if traj.entry_index == 0:
-                    seen.add(w)
-                    frontier.append(w)
-    return seen
+    return set(_naive_walk(slide_to_circuit(x)[0]))

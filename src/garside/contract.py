@@ -46,8 +46,8 @@ class Atom:
 class OpCounter:
     """Counter for basic operations performed through a context.
 
-    One unit is charged per required-operation call (atom division, simple
-    hash) and per invocation of a native fast-path override.  The count is
+    One unit is charged per required-operation call (atom division) and
+    per invocation of a native fast-path override.  The count is
     the abstract cost unit reported in run statistics; it makes no
     wall-clock claim.  Updates are not synchronized: under concurrent use
     the count is approximate.
@@ -62,8 +62,8 @@ class OpCounter:
 class GarsideContext(SimpleLatticeOps, ABC):
     """A finite-type Garside structure, given by its atom-level operations.
 
-    Subclasses implement :meth:`_divide_atom_left`, :meth:`_divide_atom_right`
-    and :meth:`_hash_simple`, and may override any derived operation from
+    Subclasses implement :meth:`_divide_atom_left` and
+    :meth:`_divide_atom_right`, and may override any derived operation from
     :class:`~garside.simples.SimpleLatticeOps` with a native fast path.
     Overrides must charge ``self.ops.calls += 1`` per invocation.
     """
@@ -92,19 +92,11 @@ class GarsideContext(SimpleLatticeOps, ABC):
         self.ops.calls += 1
         return self._divide_atom_right(s, a)
 
-    def hash_simple(self, s: Simple) -> int:
-        """Hash value of a simple element; equal simples hash equally."""
-        self.ops.calls += 1
-        return self._hash_simple(s)
-
     @abstractmethod
     def _divide_atom_left(self, a: Atom, s: Simple) -> Simple | None: ...
 
     @abstractmethod
     def _divide_atom_right(self, s: Simple, a: Atom) -> Simple | None: ...
-
-    @abstractmethod
-    def _hash_simple(self, s: Simple) -> int: ...
 
     # -- metadata ----------------------------------------------------------
 

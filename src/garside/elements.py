@@ -169,10 +169,6 @@ class Element:
             and (self.ctx is other.ctx or self.ctx == other.ctx)
         )
 
-    def __ne__(self, other) -> bool:
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
     def __hash__(self) -> int:
         h = self._hash
         if h is None:

@@ -23,9 +23,6 @@ class BareContext(GarsideContext):
     def _divide_atom_right(self, s, a):
         return self.inner._divide_atom_right(s, a)
 
-    def _hash_simple(self, s):
-        return hash(s)
-
     def check_simple(self, s):
         self.inner.check_simple(s)
 

@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 import garside as g
+import garside.conjugacy
 from garside.conjugacy import (
     _pullback_orbit,
     arrows_at,
@@ -250,19 +251,21 @@ def test_solve_conjugacy_basics(b3, b4, rng):
         assert res.conjugate and x.conjugated(res.witness) == x
 
 
-def test_solver_agrees_with_reference(b4, rng):
-    for _ in range(60):
-        x = random_element(b4, rng, rng.randint(0, 8))
-        if rng.random() < 0.5:
-            y = x.conjugated(random_element(b4, rng, 6))
-        else:
-            y = random_element(b4, rng, rng.randint(0, 8))
-        fast = solve_conjugacy(x, y)
-        slow = naive_solve(x, y)
-        assert fast.conjugate == slow.conjugate
-        if fast.conjugate:
-            assert x.conjugated(fast.witness) == y
-            assert x.conjugated(slow.witness) == y
+def test_solver_agrees_with_reference(b4, b5, rng):
+    # shorter B5 inputs keep the brute-force reference at desk scale
+    for ctx, pairs, length in ((b4, 60, 8), (b5, 20, 4)):
+        for _ in range(pairs):
+            x = random_element(ctx, rng, rng.randint(0, length))
+            if rng.random() < 0.5:
+                y = x.conjugated(random_element(ctx, rng, 6))
+            else:
+                y = random_element(ctx, rng, rng.randint(0, length))
+            fast = solve_conjugacy(x, y)
+            slow = naive_solve(x, y)
+            assert fast.conjugate == slow.conjugate
+            if fast.conjugate:
+                assert x.conjugated(fast.witness) == y
+                assert x.conjugated(slow.witness) == y
 
 
 def test_solver_exhaustive_positive_words_b3(b3):
@@ -316,6 +319,48 @@ def test_enumerate_sc_structure(b4, rng):
             assert graph.index_of(v) == i
         assert graph.index_of(g.delta_power_element(b4, 99)) is None
         assert graph.stats.sc_size == len(vertices)
+
+
+def _count_arrows_at(monkeypatch):
+    """Record the circuit passed to each arrows_at call of the solvers."""
+    calls = []
+
+    def counting(circuit, stats=None):
+        calls.append(frozenset(circuit.elements))
+        return arrows_at(circuit, stats)
+
+    monkeypatch.setattr(garside.conjugacy, "arrows_at", counting)
+    return calls
+
+
+def test_arrows_computed_once_per_circuit(b4, rng, monkeypatch):
+    calls = _count_arrows_at(monkeypatch)
+    longest = 0
+    for _ in range(20):
+        x = random_element(b4, rng, rng.randint(2, 8))
+        graph = enumerate_sc(x)
+        circuits = {frozenset(circuit_of(v).elements) for v in graph.vertices}
+        assert sorted(calls, key=hash) == sorted(circuits, key=hash)
+        longest = max(longest, graph.stats.circuit_period)
+        calls.clear()
+
+        res = solve_conjugacy(x, x.conjugated(random_element(b4, rng, 6)))
+        assert res.conjugate
+        assert len(calls) == len(set(calls))
+        calls.clear()
+    assert longest > 1
+
+
+def test_solve_within_one_circuit_needs_no_arrows(b5, monkeypatch):
+    # spanning-tree edges inside a circuit are preferred prefixes
+    calls = _count_arrows_at(monkeypatch)
+    y, _ = _b5_example(b5)
+    circuit = circuit_of(y).elements
+    assert len(circuit) == 6
+    for target in circuit:
+        res = solve_conjugacy(circuit[0], target)
+        assert res.conjugate and circuit[0].conjugated(res.witness) == target
+    assert calls == []
 
 
 def test_naive_solve_refuses_oversized(b3):
