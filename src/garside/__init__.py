@@ -21,7 +21,6 @@ from .conjugacy import (
     ConjugacyResult,
     RunStats,
     SCGraph,
-    TransportCycle,
     arrows_at,
     circuit_of,
     enumerate_sc,
@@ -45,7 +44,6 @@ from .elements import (
     positive_prefix,
     rgcd_elements,
     right_divides,
-    rlcm_elements,
     simple_element,
 )
 from .errors import (
@@ -56,14 +54,12 @@ from .errors import (
 )
 from .sliding import (
     Trajectory,
-    cyclic_right_sliding,
     cyclic_sliding,
     is_rigid,
     minimal_sss_conjugator,
     preferred_prefix,
     preferred_suffix,
     pullback_step,
-    right_transport,
     slide_to_first_repetition,
     transport,
 )

@@ -194,10 +194,10 @@ def _cmd_oracle_check(args) -> int:
     return EXIT_OK
 
 
-def _add_common(sub, *, words: int) -> None:
+def _add_common(sub, *words: str) -> None:
     sub.add_argument("-n", type=int, required=True, help="number of strands")
-    if words:
-        sub.add_argument("word", help="braid word")
+    for word in words:
+        sub.add_argument(word, help="braid word")
     sub.add_argument("--json", action="store_true", help="machine-readable output")
     sub.add_argument("--seed", type=int, default=None, help="seed echoed in output")
 
@@ -210,33 +210,29 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     sub = subs.add_parser("nf", help="left normal form of a braid word")
-    _add_common(sub, words=1)
+    _add_common(sub, "word")
     sub.set_defaults(handler=_cmd_nf)
 
     sub = subs.add_parser("slide", help="apply cyclic sliding")
-    _add_common(sub, words=1)
+    _add_common(sub, "word")
     sub.add_argument("--steps", type=int, default=1)
     sub.set_defaults(handler=_cmd_slide)
 
     sub = subs.add_parser("circuit", help="slide to a circuit and report it")
-    _add_common(sub, words=1)
+    _add_common(sub, "word")
     sub.set_defaults(handler=_cmd_circuit)
 
     sub = subs.add_parser("sc", help="enumerate the sliding-circuit conjugates")
-    _add_common(sub, words=1)
+    _add_common(sub, "word")
     sub.set_defaults(handler=_cmd_sc)
 
     sub = subs.add_parser("scg", help="the sliding-circuit graph")
-    _add_common(sub, words=1)
+    _add_common(sub, "word")
     sub.add_argument("--dot", action="store_true", help="emit a DOT digraph")
     sub.set_defaults(handler=_cmd_scg)
 
     sub = subs.add_parser("conj", help="decide conjugacy of two braid words")
-    sub.add_argument("-n", type=int, required=True)
-    sub.add_argument("word_x")
-    sub.add_argument("word_y")
-    sub.add_argument("--json", action="store_true")
-    sub.add_argument("--seed", type=int, default=None)
+    _add_common(sub, "word_x", "word_y")
     sub.add_argument(
         "--oracle", action="store_true",
         help="cross-check against the brute-force reference (desk scale)",
@@ -244,17 +240,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(handler=_cmd_conj)
 
     sub = subs.add_parser("stats", help="instrumentation counters for one input")
-    _add_common(sub, words=1)
+    _add_common(sub, "word")
     sub.set_defaults(handler=_cmd_stats)
 
     sub = subs.add_parser(
         "oracle-check", help="run solver and brute-force reference, compare"
     )
-    sub.add_argument("-n", type=int, required=True)
-    sub.add_argument("word_x")
-    sub.add_argument("word_y")
-    sub.add_argument("--json", action="store_true")
-    sub.add_argument("--seed", type=int, default=None)
+    _add_common(sub, "word_x", "word_y")
     sub.set_defaults(handler=_cmd_oracle_check)
 
     return parser

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import dataclasses
 from collections import deque
-from typing import Callable
 
 from .contract import GarsideContext, Simple, require_same_context
 from .elements import Element, atom_element, identity_element
@@ -23,6 +22,7 @@ from .errors import GarsideError, InternalInvariantError
 from .oracle import enumerate_simples
 from .sliding import (
     Trajectory,
+    _first_repetition,
     minimal_sss_conjugator,
     preferred_prefix,
     pullback_step,
@@ -109,29 +109,6 @@ def slide_to_circuit(x: Element, stats: RunStats | None = None) -> tuple[Element
     return traj.elements[traj.entry_index], c
 
 
-@dataclasses.dataclass(frozen=True)
-class TransportCycle:
-    """Iterated whole-circuit transports of u until the first repetition.
-
-    ``values[i]`` is the i-fold circuit transport of u; ``values[i1] ==
-    values[i2]`` is the first repetition.  ``fixed`` collects the periodic
-    part, the transports that are themselves fixed by some transport
-    power, i.e. the conjugators landing back in a sliding circuit.
-    """
-
-    values: tuple[Element, ...]
-    i1: int
-    i2: int
-
-    @property
-    def fixed(self) -> frozenset[Element]:
-        return frozenset(self.values[self.i1:self.i2])
-
-    @property
-    def period(self) -> int:
-        return self.i2 - self.i1
-
-
 def _transport_once_around(circuit: Circuit, u: Element) -> Element:
     for v in circuit.elements:
         u = transport(v, u)
@@ -143,45 +120,27 @@ def _transport_once_around(circuit: Circuit, u: Element) -> Element:
     return u
 
 
-def _first_repetition(
-    step: Callable[[Element], Element], start: Element, max_rounds: int, kind: str
-) -> tuple[tuple[Element, ...], int, int]:
-    """Iterate step from start until a value repeats.
-
-    Returns ``(values, i1, i2)``: ``values[i]`` is the i-fold iterate,
-    ``i2 == len(values)``, and step of the last value is ``values[i1]``.
-    """
-    seen: dict[Element, int] = {}
-    values: list[Element] = []
-    cur = start
-    while cur not in seen:
-        seen[cur] = len(values)
-        values.append(cur)
-        if len(values) > max_rounds:
-            raise InternalInvariantError(
-                f"no {kind} repetition within {max_rounds} rounds"
-            )
-        cur = step(cur)
-    return tuple(values), seen[cur], len(values)
-
-
 def _round_cap(circuit: Circuit, stats: RunStats | None) -> int:
     return (stats or RunStats()).repetition_guard(circuit.base.ctx.delta_norm)
 
 
 def transport_cycle(
     circuit: Circuit, u: Element, stats: RunStats | None = None
-) -> TransportCycle:
-    """Transport u around the circuit until a value repeats."""
-    values, i1, i2 = _first_repetition(
+) -> Trajectory:
+    """Transport u around the circuit until a value repeats.
+
+    The cycle of the result holds the transports that are fixed by some
+    transport power, i.e. the conjugators landing back in a sliding circuit.
+    """
+    cycle = _first_repetition(
         lambda cur: _transport_once_around(circuit, cur),
         u,
         _round_cap(circuit, stats),
         "transport",
     )
     if stats is not None:
-        stats.r_max = max(stats.r_max, i2)
-    return TransportCycle(values, i1, i2)
+        stats.r_max = max(stats.r_max, len(cycle.elements))
+    return cycle
 
 
 def _pullback_once_around(circuit: Circuit, s: Element) -> Element:
@@ -198,22 +157,21 @@ def iterated_pullback_to_repetition(
     circuit: Circuit, s: Element, stats: RunStats | None = None
 ) -> Element:
     """Whole-circuit pullbacks of s until a value repeats; that value is returned."""
-    values, i1, _ = _pullback_orbit(circuit, s, stats)
-    return values[i1]
+    return _pullback_orbit(circuit, s, stats).circuit_elements[0]
 
 
 def _pullback_orbit(
     circuit: Circuit, s: Element, stats: RunStats | None = None
-) -> tuple[tuple[Element, ...], int, int]:
-    values, i1, i2 = _first_repetition(
+) -> Trajectory:
+    orbit = _first_repetition(
         lambda cur: _pullback_once_around(circuit, cur),
         s,
         2 * _round_cap(circuit, stats),
         "pullback",
     )
     if stats is not None:
-        stats.pullback_max = max(stats.pullback_max, i2)
-    return values, i1, i2
+        stats.pullback_max = max(stats.pullback_max, len(orbit.elements))
+    return orbit
 
 
 def _atom_divides(ctx: GarsideContext, a, x: Element) -> bool:
@@ -258,9 +216,7 @@ def arrows_at(
             raise InternalInvariantError("summit conjugator of an atom not simple")
         if ctx.divide_atom_left(atom, prefix_v) is not None:
             s = iterated_pullback_to_repetition(circuit, s, stats)
-        cycle = transport_cycle(circuit, s, stats)
-        for m in range(cycle.i1, cycle.i2):
-            candidate = cycle.values[m]
+        for candidate in transport_cycle(circuit, s, stats).circuit_elements:
             if not _atom_divides(ctx, atom, candidate):
                 continue
             blockers = accepted + list(ctx.atoms[t:])

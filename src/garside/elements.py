@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .contract import GarsideContext, Simple, require_same_context
-from .errors import GarsideError, InternalInvariantError
+from .errors import ContextMismatchError, GarsideError, InternalInvariantError
 
 
 def _strip_edges(ctx: GarsideContext, p: int, fs: list) -> int:
@@ -34,6 +34,17 @@ def _strip_edges(ctx: GarsideContext, p: int, fs: list) -> int:
     return p
 
 
+def _sweep(fs: list, positions: Iterable[int], sliding) -> None:
+    """Slide the pairs fs[i], fs[i+1] in the given order until one is unchanged."""
+    for i in positions:
+        a = fs[i]
+        a2, b2 = sliding(a, fs[i + 1])
+        if a2 == a:
+            break
+        fs[i] = a2
+        fs[i + 1] = b2
+
+
 def _append(ctx: GarsideContext, p: int, fs: list, s: Simple) -> int:
     """Multiply Δ^p·fs on the right by the simple s; one backward sweep."""
     if s == ctx.identity:
@@ -42,14 +53,7 @@ def _append(ctx: GarsideContext, p: int, fs: list, s: Simple) -> int:
         fs[:] = [ctx.tau_power(f, 1) for f in fs]
         return p + 1
     fs.append(s)
-    sliding = ctx.local_sliding
-    for i in range(len(fs) - 2, -1, -1):
-        a = fs[i]
-        a2, b2 = sliding(a, fs[i + 1])
-        if a2 == a:
-            break
-        fs[i] = a2
-        fs[i + 1] = b2
+    _sweep(fs, range(len(fs) - 2, -1, -1), ctx.local_sliding)
     return _strip_edges(ctx, p, fs)
 
 
@@ -61,14 +65,7 @@ def _prepend(ctx: GarsideContext, p: int, fs: list, s: Simple) -> int:
     if s == ctx.delta:
         return p + 1
     fs.insert(0, s)
-    sliding = ctx.local_sliding
-    for i in range(len(fs) - 1):
-        a = fs[i]
-        a2, b2 = sliding(a, fs[i + 1])
-        if a2 == a:
-            break
-        fs[i] = a2
-        fs[i + 1] = b2
+    _sweep(fs, range(len(fs) - 1), ctx.local_sliding)
     return _strip_edges(ctx, p, fs)
 
 
@@ -96,14 +93,7 @@ def _right_prepend(ctx: GarsideContext, fs: list, s: Simple) -> int:
         fs[:] = [ctx.tau_power(f, -1) for f in fs]
         return 1
     fs.insert(0, s)
-    sliding = ctx.local_right_sliding
-    for i in range(len(fs) - 1):
-        a = fs[i]
-        a2, b2 = sliding(a, fs[i + 1])
-        if a2 == a:
-            break
-        fs[i] = a2
-        fs[i + 1] = b2
+    _sweep(fs, range(len(fs) - 1), ctx.local_right_sliding)
     carry = 0
     while fs and fs[-1] == ctx.delta:
         fs.pop()
@@ -285,10 +275,6 @@ class Element:
         """s⁻¹·x·s in linearly many slidings."""
         return self.mul_simple(s).lmul_simple_inverse(s)
 
-    def conjugated_by_simple_inverse(self, s: Simple) -> "Element":
-        """s·x·s⁻¹ in linearly many slidings."""
-        return self.mul_simple_inverse(s).lmul_simple(s)
-
     def conjugated(self, c: "Element") -> "Element":
         """c⁻¹·x·c; incremental path when c is a Δ power times one simple."""
         require_same_context(self.ctx, c.ctx)
@@ -342,6 +328,23 @@ def atom_element(ctx: GarsideContext, a) -> Element:
     return Element._make(ctx, 0, (ctx.atom_simple(a),))
 
 
+def _signed_part(ctx: GarsideContext, part) -> tuple[Simple, int]:
+    """The validated (payload, exponent) of one part of :func:`normalize`'s input.
+
+    A part is read as a signed pair only when its first entry is a simple,
+    so that a payload which is itself a pair ending in ±1, such as the
+    identity (0, 1) of B_2, is not misread.
+    """
+    if isinstance(part, tuple) and len(part) == 2 and part[1] in (1, -1):
+        try:
+            ctx.check_simple(part[0])
+            return part
+        except ContextMismatchError:
+            pass
+    ctx.check_simple(part)
+    return part, 1
+
+
 def normalize(
     ctx: GarsideContext,
     parts: Iterable = (),
@@ -355,11 +358,7 @@ def normalize(
     p = delta_power
     fs: list = []
     for part in parts:
-        if isinstance(part, tuple) and len(part) == 2 and part[1] in (1, -1):
-            s, e = part
-        else:
-            s, e = part, 1
-        ctx.check_simple(s)
+        s, e = _signed_part(ctx, part)
         if e == 1:
             p = _append(ctx, p, fs, s)
         else:
@@ -438,18 +437,6 @@ def lcm_elements(a: Element, b: Element) -> Element:
         a.inverse().mul_delta_power(m), b.inverse().mul_delta_power(m)
     )
     return delta_power_element(ctx, m) * d.inverse()
-
-
-def rlcm_elements(a: Element, b: Element) -> Element:
-    """Least common multiple for the suffix order."""
-    require_same_context(a.ctx, b.ctx)
-    ctx = a.ctx
-    m = max(a.sup, b.sup)
-    d = gcd_elements(
-        delta_power_element(ctx, m) * a.inverse(),
-        delta_power_element(ctx, m) * b.inverse(),
-    )
-    return d.inverse().mul_delta_power(m)
 
 
 def positive_prefix(x: Element, q: int) -> Element:

@@ -5,15 +5,19 @@ here is written purely in terms of the two required atom-division
 operations, the atom list and the distinguished simples ``identity`` and
 ``delta``; no structure-specific knowledge is used.  Concrete contexts may
 override any of these methods with faster native code (the braid context
-does), in which case the generic version stays reachable as an unbound
-call, e.g. ``SimpleLatticeOps.equal_simple(ctx, s, t)``.
+does, for the ones on the solver's path), in which case the generic
+version stays reachable as an unbound call, e.g.
+``SimpleLatticeOps.gcd_simple(ctx, s, t)``.
 
 Two determinism rules are baked in and relied upon elsewhere:
 
 * "take an atom dividing s" always scans the atom list in index order and
   takes the first divisor;
-* the stripping loops (gcd, equality, local sliding) restart the atom scan
-  from the first atom after every successful strip.
+* stripping common atoms (gcd, equality, local sliding) restarts the atom
+  scan from the first atom after every successful strip.
+
+The second rule lives in one place, :meth:`SimpleLatticeOps._strip_common`,
+which every stripping routine calls with the atom division of its side.
 """
 
 from __future__ import annotations
@@ -52,17 +56,7 @@ class SimpleLatticeOps:
 
     def equal_simple(self, s, t) -> bool:
         """Test s == t by stripping common atom prefixes until none remain."""
-        atoms = self.atoms
-        i = 0
-        while i < len(atoms):
-            a = atoms[i]
-            qs = self.divide_atom_left(a, s)
-            qt = self.divide_atom_left(a, t) if qs is not None else None
-            if qs is not None and qt is not None:
-                s, t = qs, qt
-                i = 0
-            else:
-                i += 1
+        s, t, _ = self._strip_common(self.divide_atom_left, s, t)
         return self.is_trivial_simple(s) and self.is_trivial_simple(t)
 
     def atom_length(self, s) -> int:
@@ -117,38 +111,45 @@ class SimpleLatticeOps:
 
     # -- lattice operations --------------------------------------------
 
-    def gcd_simple(self, s, t):
-        """Greatest common divisor of two simples for the prefix order."""
+    def _strip_common(self, divide, s, t):
+        """Strip atoms dividing both s and t, on one side, until none does.
+
+        ``divide(a, x)`` is the quotient of x by the atom a on that side,
+        or None.  The atoms are scanned in index order and the scan
+        restarts from the first atom after every strip.  Returns the two
+        remainders and the stripped atoms in the order they were stripped.
+        """
         atoms = self.atoms
-        d = self.delta
+        stripped = []
         i = 0
         while i < len(atoms):
             a = atoms[i]
-            qs = self.divide_atom_left(a, s)
-            qt = self.divide_atom_left(a, t) if qs is not None else None
+            qs = divide(a, s)
+            qt = divide(a, t) if qs is not None else None
             if qs is not None and qt is not None:
                 s, t = qs, qt
-                d = self.divide_atom_left(a, d)
+                stripped.append(a)
                 i = 0
             else:
                 i += 1
+        return s, t, stripped
+
+    def _right_quotient(self, a, s):
+        """divide_atom_right with the atom first, as _strip_common calls it."""
+        return self.divide_atom_right(s, a)
+
+    def gcd_simple(self, s, t):
+        """Greatest common divisor of two simples for the prefix order."""
+        d = self.delta
+        for a in self._strip_common(self.divide_atom_left, s, t)[2]:
+            d = self.divide_atom_left(a, d)
         return self.left_complement(d)
 
     def rgcd_simple(self, s, t):
         """Greatest common divisor of two simples for the suffix order."""
-        atoms = self.atoms
         d = self.delta
-        i = 0
-        while i < len(atoms):
-            a = atoms[i]
-            qs = self.divide_atom_right(s, a)
-            qt = self.divide_atom_right(t, a) if qs is not None else None
-            if qs is not None and qt is not None:
-                s, t = qs, qt
-                d = self.divide_atom_right(d, a)
-                i = 0
-            else:
-                i += 1
+        for a in self._strip_common(self._right_quotient, s, t)[2]:
+            d = self.divide_atom_right(d, a)
         return self.right_complement(d)
 
     def lcm_simple(self, s, t):
@@ -171,18 +172,9 @@ class SimpleLatticeOps:
         Transfers u = ∂(s) ∧ t from the front of t to the back of s,
         returning (s·u, u⁻¹·t).
         """
-        atoms = self.atoms
-        sp = self.right_complement(s)
-        i = 0
-        while i < len(atoms):
-            a = atoms[i]
-            qs = self.divide_atom_left(a, sp)
-            qt = self.divide_atom_left(a, t) if qs is not None else None
-            if qs is not None and qt is not None:
-                sp, t = qs, qt
-                i = 0
-            else:
-                i += 1
+        sp, t, _ = self._strip_common(
+            self.divide_atom_left, self.right_complement(s), t
+        )
         return self.left_complement(sp), t
 
     def local_right_sliding(self, s, t):
@@ -191,18 +183,9 @@ class SimpleLatticeOps:
         Transfers u = s ∧^r ∂⁻¹(t) from the back of s to the front of t,
         returning (s·u⁻¹, u·t).
         """
-        atoms = self.atoms
-        tp = self.left_complement(t)
-        i = 0
-        while i < len(atoms):
-            a = atoms[i]
-            qs = self.divide_atom_right(s, a)
-            qt = self.divide_atom_right(tp, a) if qs is not None else None
-            if qs is not None and qt is not None:
-                s, tp = qs, qt
-                i = 0
-            else:
-                i += 1
+        s, tp, _ = self._strip_common(
+            self._right_quotient, s, self.left_complement(t)
+        )
         return s, self.right_complement(tp)
 
     # -- products with atoms ---------------------------------------------

@@ -1,17 +1,18 @@
 """Cyclic sliding and the conjugation operators built around it.
 
 The preferred prefix of ``x`` is the simple ``ι(x) ∧ ∂(φ(x))``; cyclic
-sliding conjugates ``x`` by it.  The preferred suffix and cyclic right
-sliding are the mirror notions for the suffix order.  Transport completes
-the square made by a conjugation and one sliding step on each side;
-pullback is its partial inverse, the minimal positive element whose
-transport admits a given prefix.  Iterating cyclic sliding reaches a
-periodic orbit, recorded as a :class:`Trajectory`.
+sliding conjugates ``x`` by it.  The preferred suffix is the mirror notion
+for the suffix order.  Transport completes the square made by a
+conjugation and one sliding step on each side; pullback is its partial
+inverse, the minimal positive element whose transport admits a given
+prefix.  Iterating cyclic sliding reaches a periodic orbit, recorded as a
+:class:`Trajectory`.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from typing import Callable
 
 from .contract import Simple, require_same_context
 from .elements import Element, identity_element, lcm_elements, positive_part
@@ -54,28 +55,12 @@ def cyclic_sliding(x: Element) -> Element:
     return x.conjugated_by_simple(s)
 
 
-def cyclic_right_sliding(x: Element) -> Element:
-    """Conjugate of x by the inverse of its preferred suffix."""
-    s = preferred_suffix(x)
-    if s == x.ctx.identity:
-        return x
-    return x.conjugated_by_simple_inverse(s)
-
-
 def transport(x: Element, alpha: Element) -> Element:
     """𝔭(x)⁻¹·α·𝔭(x^α): the conjugator completing the sliding square at x."""
     require_same_context(x.ctx, alpha.ctx)
     xa = x.conjugated(alpha)
     out = alpha.lmul_simple_inverse(preferred_prefix(x))
     return out.mul_simple(preferred_prefix(xa))
-
-
-def right_transport(x: Element, alpha: Element) -> Element:
-    """Mirror transport for cyclic right sliding (conjugators act on the left)."""
-    require_same_context(x.ctx, alpha.ctx)
-    xa = x.conjugated(alpha.inverse())
-    out = alpha.lmul_simple(preferred_suffix(xa))
-    return out.mul_simple_inverse(preferred_suffix(x))
 
 
 def pullback_step(z: Element, y: Element, s: Element, checked: bool = False) -> Element:
@@ -139,12 +124,13 @@ def minimal_sss_conjugator(
 
 @dataclasses.dataclass(frozen=True)
 class Trajectory:
-    """Iterated cyclic sliding up to the first repetition.
+    """An orbit of one step map up to its first repetition.
 
-    ``elements[0]`` is the starting element; applying one sliding to the
-    last element yields ``elements[entry_index]`` again.  The elements
-    from ``entry_index`` on form the sliding circuit that the orbit falls
-    into; ``entry_index + period`` is the total length.
+    ``elements[0]`` is the starting value; applying the step to the last
+    element yields ``elements[entry_index]`` again.  The elements from
+    ``entry_index`` on form the cycle the orbit falls into (the sliding
+    circuit, for cyclic sliding); ``entry_index + period`` is the total
+    length.
     """
 
     elements: tuple[Element, ...]
@@ -156,15 +142,32 @@ class Trajectory:
         return self.elements[self.entry_index:]
 
 
-def slide_to_first_repetition(x: Element) -> Trajectory:
-    """Apply cyclic sliding until an element repeats."""
+def _first_repetition(
+    step: Callable[[Element], Element],
+    start: Element,
+    max_rounds: int | None = None,
+    kind: str = "",
+) -> Trajectory:
+    """Iterate step from start until a value repeats.
+
+    With ``max_rounds``, more than that many distinct values raise
+    InternalInvariantError naming the ``kind`` of iteration.
+    """
     seen: dict[Element, int] = {}
     elements: list[Element] = []
-    cur = x
+    cur = start
     while cur not in seen:
         seen[cur] = len(elements)
         elements.append(cur)
-        cur = cyclic_sliding(cur)
+        if max_rounds is not None and len(elements) > max_rounds:
+            raise InternalInvariantError(
+                f"no {kind} repetition within {max_rounds} rounds"
+            )
+        cur = step(cur)
     entry = seen[cur]
     return Trajectory(tuple(elements), entry, len(elements) - entry)
 
+
+def slide_to_first_repetition(x: Element) -> Trajectory:
+    """Apply cyclic sliding until an element repeats."""
+    return _first_repetition(cyclic_sliding, x)

@@ -81,10 +81,10 @@ def test_criterion_1_worked_example_regression():
 
     # (d) iterated six-fold pullbacks of s stabilize at the stated value
     circuit = circuit_of(y)
-    values, i, j = _pullback_orbit(circuit, s)
-    assert (i, j) == (1, 2)
+    orbit = _pullback_orbit(circuit, s)
+    assert (orbit.entry_index, len(orbit.elements)) == (1, 2)
     p = g.normalize(b5, [eval_word(5, [3]), eval_word(5, [4])])
-    assert values[i] == p
+    assert orbit.elements[1] == p
 
     # (e) six-fold transports of that value stabilize with a one-element cycle
     cycle = transport_cycle(circuit, p)
@@ -92,7 +92,7 @@ def test_criterion_1_worked_example_regression():
         b5,
         [eval_word(5, [3]), eval_word(5, [2]), eval_word(5, [1]), eval_word(5, [4])],
     )
-    assert cycle.fixed == {c_s}
+    assert set(cycle.circuit_elements) == {c_s}
 
     # (f) the arrow at y divisible by the third atom is that same conjugator
     arrows = arrows_at(circuit)

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from garside.cli import main
 
 
@@ -33,6 +35,48 @@ def test_json_is_byte_stable(capsys):
         assert code in (0, 1)
         runs.append(out)
     assert runs[0] == runs[1]
+
+
+GOLDEN = [
+    (
+        ["conj", "-n", "4", "1 2 3", "2 3 1"],
+        0,
+        '{"input": ["1 2 3", "2 3 1"], "n": 4, "result": "conjugate", "seed": null, '
+        '"stats": {"N": 1, "R_max": 1, "T": 1, "contract_calls": 188, "sc_size": 2}, '
+        '"witness": "D^0 (1 2 1 3)"}\n',
+    ),
+    (
+        ["conj", "-n", "5", "1 2 -3 4 2", "-4 1 2 -3 4 2 4"],
+        0,
+        '{"input": ["1 2 -3 4 2", "-4 1 2 -3 4 2 4"], "n": 5, "result": "conjugate", '
+        '"seed": null, "stats": {"N": 1, "R_max": 0, "T": 1, "contract_calls": 33, '
+        '"sc_size": 1}, "witness": "D^0 (4)"}\n',
+    ),
+    (
+        ["conj", "-n", "5", "D 2 1 4 3 4 . 1", "1 -2 4 4 3"],
+        1,
+        '{"input": ["D 2 1 4 3 4 . 1", "1 -2 4 4 3"], "n": 5, "result": "not-conjugate", '
+        '"seed": null, "stats": {"N": 6, "R_max": 2, "T": 1, "contract_calls": 1127, '
+        '"sc_size": 6}, "witness": null}\n',
+    ),
+    (
+        ["scg", "-n", "4", "1 2 3"],
+        0,
+        '{"input": ["1 2 3"], "n": 4, "result": {"arrows": ['
+        '{"label": "D^0 (1 3)", "source": 0, "target": 1}, '
+        '{"label": "D^0 (2)", "source": 1, "target": 0}], '
+        '"vertices": ["D^0 (1 3 2)", "D^0 (2 1 3)"]}, "seed": null, '
+        '"stats": {"N": 1, "R_max": 2, "T": 1, "contract_calls": 382, "sc_size": 2}, '
+        '"witness": null}\n',
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, exit_code, stdout", GOLDEN)
+def test_json_golden_bytes(capsys, argv, exit_code, stdout):
+    # witnesses, graphs and contract_calls are pinned byte for byte
+    code, out, _ = run(capsys, *argv, "--json")
+    assert (code, out) == (exit_code, stdout)
 
 
 def test_conj_exit_codes_and_witness(capsys):

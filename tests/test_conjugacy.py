@@ -77,7 +77,7 @@ def test_circuit_of_rejects_transient_points(b4, rng):
 def test_transport_cycle_trivial(b3):
     x = g.normalize(b3, [S1, S1])
     cycle = transport_cycle(circuit_of(x), g.identity_element(b3))
-    assert cycle.fixed == {g.identity_element(b3)}
+    assert set(cycle.circuit_elements) == {g.identity_element(b3)}
     assert cycle.period == 1
 
 
@@ -89,12 +89,12 @@ def test_transport_cycle_examples_b5(b5):
     expected = g.normalize(
         b5, [eval_word(5, [3]), eval_word(5, [2]), eval_word(5, [1]), eval_word(5, [4])]
     )
-    assert cycle.fixed == {expected}
+    assert set(cycle.circuit_elements) == {expected}
     assert cycle.period == 1
-    assert (cycle.i1, cycle.i2) == (1, 2)
+    assert (cycle.entry_index, len(cycle.elements)) == (1, 2)
     # the transports of s collapse to the identity
     cycle_s = transport_cycle(circuit, s)
-    assert cycle_s.fixed == {g.identity_element(b5)}
+    assert set(cycle_s.circuit_elements) == {g.identity_element(b5)}
 
 
 def test_iterated_pullback_examples(b5):
@@ -103,9 +103,9 @@ def test_iterated_pullback_examples(b5):
     assert iterated_pullback_to_repetition(
         circuit, g.identity_element(b5)
     ).is_identity
-    values, i, j = _pullback_orbit(circuit, s)
-    assert (i, j) == (1, 2)
-    assert values[i] == g.normalize(b5, [eval_word(5, [3]), eval_word(5, [4])])
+    orbit = _pullback_orbit(circuit, s)
+    assert (orbit.entry_index, len(orbit.elements)) == (1, 2)
+    assert orbit.elements[1] == g.normalize(b5, [eval_word(5, [3]), eval_word(5, [4])])
 
 
 def test_transport_cycle_fixed_set_facts(b4, rng):
@@ -120,7 +120,7 @@ def test_transport_cycle_fixed_set_facts(b4, rng):
         u0 = positive_part(random_element(b4, rng, 2))
         u = u0 * minimal_sss_conjugator(v.conjugated(u0), v.inf, v.sup)
         cycle = transport_cycle(circuit, u)
-        fixed = cycle.fixed
+        fixed = set(cycle.circuit_elements)
         if g.identity_element(b4) in fixed:
             assert fixed == {g.identity_element(b4)}
         assert (u in fixed) == (v.conjugated(u) in sc)

@@ -82,6 +82,13 @@ def test_context_mismatch_is_an_error(b3, b4):
         g.simple_element(b3, b4.delta)
 
 
+def test_check_simple_rejects_non_int_entries(b2, b3):
+    with pytest.raises(ContextMismatchError):
+        b3.check_simple((0, "a", 2))
+    with pytest.raises(ContextMismatchError):
+        b2.check_simple(((0, 1), 1))
+
+
 def test_element_context_mismatch(b3, b4):
     x = g.delta_power_element(b3, 1)
     y = g.delta_power_element(b4, 1)

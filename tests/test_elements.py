@@ -12,7 +12,6 @@ from garside.elements import (
     positive_part,
     positive_prefix,
     rgcd_elements,
-    rlcm_elements,
 )
 from garside.errors import GarsideError
 from garside.oracle import enumerate_simples
@@ -29,6 +28,14 @@ def test_normalize_examples(b3):
     assert (x.p, x.factors) == (1, (S1,))
     e = g.normalize(b3, [])
     assert e.is_identity and (e.p, e.sup, e.canonical_length) == (0, 0, 0)
+
+
+def test_normalize_reads_pair_payloads_of_b2(b2):
+    # the B_2 simples are pairs; (0, 1) is the identity, not a signed part
+    assert g.normalize(b2, [b2.identity]).is_identity
+    assert g.normalize(b2, [b2.delta, (b2.delta, -1)]).is_identity
+    x = g.normalize(b2, [(b2.delta, 1), b2.identity, b2.delta])
+    assert (x.p, x.factors) == (2, ())
 
 
 def test_normalize_keeps_given_normal_form(b5):
@@ -177,8 +184,6 @@ def test_element_lcm_is_common_multiple(b4, rng):
         b = positive_part(random_element(b4, rng, rng.randint(0, 5)))
         m = lcm_elements(a, b)
         assert left_divides(a, m) and left_divides(b, m)
-        mr = rlcm_elements(a, b)
-        assert g.right_divides(a, mr) and g.right_divides(b, mr)
         d = rgcd_elements(a, b)
         assert g.right_divides(d, a) and g.right_divides(d, b)
 

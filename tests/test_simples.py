@@ -15,7 +15,7 @@ from garside.oracle import (
 )
 from garside.simples import SimpleLatticeOps
 
-from conftest import BareContext, random_simple
+from conftest import BareContext, inversions, random_simple
 
 S1 = (1, 0, 2)
 S2 = (0, 2, 1)
@@ -176,6 +176,7 @@ def test_atom_length(b3, b4):
         if fd is not None:
             a, q = fd
             assert b4.atom_length(s) == 1 + b4.atom_length(q)
+        assert b4.atom_length(s) == inversions(s)
 
 
 def test_divisor_quotients_recompose(b4):

@@ -9,7 +9,6 @@ from garside.elements import left_divides, positive_part
 from garside.errors import GarsideError, InternalInvariantError
 from garside.oracle import brute_minimal_simple, enumerate_simples, is_right_divisor
 from garside.sliding import (
-    cyclic_right_sliding,
     cyclic_sliding,
     is_rigid,
     minimal_sss_conjugator,
@@ -108,8 +107,6 @@ def test_sliding_monotonicity(b4, b5, rng):
             x = random_element(ctx, rng, rng.randint(0, 8))
             sx = cyclic_sliding(x)
             assert sx.inf >= x.inf and sx.sup <= x.sup
-            rx = cyclic_right_sliding(x)
-            assert rx.inf >= x.inf and rx.sup <= x.sup
 
 
 def test_sliding_commutes_with_tau(b4, rng):
@@ -183,28 +180,6 @@ def test_transport_structure_on_sss(b4, rng):
         # simple conjugators transport to simples
         if alpha.sup <= 1 and alpha.is_positive:
             assert t.sup <= 1 and t.is_positive
-
-
-def test_right_transport_square_and_positivity(b4, rng):
-    from garside.sliding import right_transport
-
-    # the right transport carries the right sliding of x^{alpha^{-1}} to the
-    # right sliding of x; it stays positive between super summit conjugates
-    for _ in range(120):
-        x = _sss_representative(random_element(b4, rng, rng.randint(1, 7)))
-        alpha = random_element(b4, rng, rng.randint(0, 5))
-        t = right_transport(x, alpha)
-        lhs = cyclic_right_sliding(x.conjugated(alpha.inverse())).conjugated(t)
-        assert lhs == cyclic_right_sliding(x)
-    for _ in range(60):
-        x = _sss_representative(random_element(b4, rng, rng.randint(1, 7)))
-        alpha = _positive_sss_conjugator(x, rng, b4)
-        if (x.conjugated(alpha.inverse()).inf, x.conjugated(alpha.inverse()).sup) != (
-            x.inf,
-            x.sup,
-        ):
-            continue
-        assert right_transport(x, alpha).is_positive
 
 
 def test_transport_respects_gcd_on_sss(b4, rng):
