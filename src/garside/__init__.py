@@ -6,6 +6,8 @@ Artin braid groups are provided as the concrete instance
 (:func:`~garside.braid.braid_context`).
 """
 
+from types import ModuleType as _ModuleType
+
 from .braid import (
     BraidContext,
     BraidWord,
@@ -27,7 +29,6 @@ from .conjugacy import (
     iterated_pullback_to_repetition,
     naive_sc,
     naive_solve,
-    slide_to_circuit,
     solve_conjugacy,
     transport_cycle,
 )
@@ -41,7 +42,6 @@ from .elements import (
     left_divides,
     normalize,
     positive_part,
-    positive_prefix,
     rgcd_elements,
     right_divides,
     simple_element,
@@ -66,4 +66,7 @@ from .sliding import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -29,7 +29,6 @@ from .conjugacy import (
     circuit_of,
     enumerate_sc,
     naive_solve,
-    slide_to_circuit,
     solve_conjugacy,
 )
 from .elements import Element
@@ -84,16 +83,16 @@ def _cmd_slide(args) -> int:
 
 def _cmd_circuit(args) -> int:
     ctx = BraidContext(args.n)
+    x = _element(ctx, args.word)
     stats = RunStats()
-    x_tilde, c = slide_to_circuit(_element(ctx, args.word), stats)
-    circuit = circuit_of(x_tilde)
-    stats.circuit_period = circuit.period
-    stats.contract_calls = ctx.ops.calls
+    start_calls = ctx.ops.calls
+    circuit = circuit_of(x, stats)
+    stats.contract_calls = ctx.ops.calls - start_calls
     elements = [word_from_element(v) for v in circuit.elements]
     result = {
         "period": circuit.period,
         "elements": elements,
-        "conjugator": word_from_element(c),
+        "conjugator": word_from_element(circuit.conjugator),
     }
     lines = [f"period {circuit.period}", f"conjugator {result['conjugator']}"]
     lines += [f"  {w}" for w in elements]

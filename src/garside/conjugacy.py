@@ -18,7 +18,7 @@ from collections import deque
 
 from .contract import GarsideContext, Simple, require_same_context
 from .elements import Element, atom_element, identity_element
-from .errors import GarsideError, InternalInvariantError
+from .errors import InternalInvariantError
 from .oracle import enumerate_simples
 from .sliding import (
     Trajectory,
@@ -51,10 +51,6 @@ class RunStats:
     sc_size: int = 0
     contract_calls: int = 0
 
-    def observe_trajectory(self, traj: Trajectory) -> None:
-        self.trajectory_entry = max(self.trajectory_entry, traj.entry_index)
-        self.circuit_period = max(self.circuit_period, traj.period)
-
     def repetition_guard(self, delta_norm: int) -> int:
         """Iteration cap for repetition searches: generous multiple of what
         has been observed, with a floor at the proven rigid-case distance."""
@@ -72,9 +68,11 @@ class RunStats:
 
 @dataclasses.dataclass(frozen=True)
 class Circuit:
-    """One sliding circuit: the orbit of a periodic point of cyclic sliding."""
+    """A sliding circuit (the orbit of a periodic point of cyclic sliding) and
+    the ``conjugator`` taking the element that was slid to ``elements[0]``."""
 
     elements: tuple[Element, ...]
+    conjugator: Element
 
     @property
     def base(self) -> Element:
@@ -85,28 +83,17 @@ class Circuit:
         return len(self.elements)
 
 
-def circuit_of(v: Element) -> Circuit:
-    """The sliding circuit through v; v must be a periodic point."""
-    traj = slide_to_first_repetition(v)
-    if traj.entry_index != 0:
-        raise GarsideError("element does not lie on a sliding circuit")
-    return Circuit(traj.elements)
-
-
-def slide_to_circuit(x: Element, stats: RunStats | None = None) -> tuple[Element, Element]:
-    """Iterated cyclic sliding to a periodic point, with a short conjugator.
-
-    Returns ``(x̃, c)`` with ``x^c = x̃``; c is the product of the preferred
-    prefixes along the pre-periodic part only, i.e. the full trajectory
-    conjugator with the once-around-the-circuit suffix cancelled off.
-    """
+def circuit_of(x: Element, stats: RunStats | None = None) -> Circuit:
+    """Slide x to its sliding circuit; the conjugator is the product of the
+    preferred prefixes along the pre-periodic part of the trajectory only."""
     traj = slide_to_first_repetition(x)
     if stats is not None:
-        stats.observe_trajectory(traj)
+        stats.trajectory_entry = max(stats.trajectory_entry, traj.entry_index)
+        stats.circuit_period = max(stats.circuit_period, traj.period)
     c = identity_element(x.ctx)
-    for m in range(traj.entry_index):
-        c = c.mul_simple(preferred_prefix(traj.elements[m]))
-    return traj.elements[traj.entry_index], c
+    for v in traj.elements[:traj.entry_index]:
+        c = c.mul_simple(preferred_prefix(v))
+    return Circuit(traj.circuit_elements, c)
 
 
 def _transport_once_around(circuit: Circuit, u: Element) -> Element:
@@ -277,9 +264,9 @@ class ConjugacyResult:
 
 
 def _explore(
-    root: Element, stats: RunStats, target: Element | None = None
+    root: Circuit, stats: RunStats, target: Element | None = None
 ) -> SCGraph:
-    """Breadth-first walk of the sliding-circuit graph from a periodic point.
+    """Breadth-first walk of the sliding-circuit graph from the root circuit.
 
     Each newly reached element brings in its whole circuit, and arrows are
     computed once per circuit, at that element.  The walk stops as soon as
@@ -291,9 +278,7 @@ def _explore(
     arrows: list[tuple[int, int, Simple]] = []
     frontier: deque[tuple[int, Circuit]] = deque()
 
-    def add_circuit(w: Element, edge: tuple[int, Simple] | None) -> int:
-        circuit = circuit_of(w)
-        stats.circuit_period = max(stats.circuit_period, circuit.period)
+    def add_circuit(circuit: Circuit, edge: tuple[int, Simple] | None) -> int:
         first = len(vertices)
         for k, v in enumerate(circuit.elements):
             index[v] = first + k
@@ -311,7 +296,10 @@ def _explore(
             w = v.conjugated_by_simple(label)
             wid = index.get(w)
             if wid is None:
-                wid = add_circuit(w, (vid, label))
+                reached = circuit_of(w, stats)
+                if not reached.conjugator.is_identity:
+                    raise InternalInvariantError("an arrow left the sliding circuits")
+                wid = add_circuit(reached, (vid, label))
             arrows.append((vid, wid, label))
             if target in index:
                 break
@@ -324,8 +312,7 @@ def enumerate_sc(x: Element, stats: RunStats | None = None) -> SCGraph:
     if stats is None:
         stats = RunStats()
     start_calls = x.ctx.ops.calls
-    root, _ = slide_to_circuit(x, stats)
-    graph = _explore(root, stats)
+    graph = _explore(circuit_of(x, stats), stats)
     stats.contract_calls += x.ctx.ops.calls - start_calls
     return graph
 
@@ -340,13 +327,13 @@ def solve_conjugacy(x: Element, y: Element) -> ConjugacyResult:
     require_same_context(x.ctx, y.ctx)
     stats = RunStats()
     start_calls = x.ctx.ops.calls
-    x_tilde, c1 = slide_to_circuit(x, stats)
-    y_tilde, c2 = slide_to_circuit(y, stats)
-    graph = _explore(x_tilde, stats, target=y_tilde)
-    vid = graph.index_of(y_tilde)
+    cx, cy = circuit_of(x, stats), circuit_of(y, stats)
+    graph = _explore(cx, stats, target=cy.base)
+    vid = graph.index_of(cy.base)
     witness = None
     if vid is not None:
-        witness = c1 * graph.conjugator_from_root(vid) * c2.inverse()
+        c = graph.conjugator_from_root(vid)
+        witness = cx.conjugator * c * cy.conjugator.inverse()
     stats.contract_calls += x.ctx.ops.calls - start_calls
     return ConjugacyResult(vid is not None, witness, stats)
 
@@ -382,17 +369,16 @@ def naive_solve(x: Element, y: Element) -> ConjugacyResult:
     require_same_context(x.ctx, y.ctx)
     stats = RunStats()
     start_calls = x.ctx.ops.calls
-    x_tilde, c1 = slide_to_circuit(x, stats)
-    y_tilde, c2 = slide_to_circuit(y, stats)
-    conjugator = _naive_walk(x_tilde, y_tilde)
+    cx, cy = circuit_of(x, stats), circuit_of(y, stats)
+    conjugator = _naive_walk(cx.base, cy.base)
     stats.sc_size = len(conjugator)
     stats.contract_calls += x.ctx.ops.calls - start_calls
-    c = conjugator.get(y_tilde)
+    c = conjugator.get(cy.base)
     if c is None:
         return ConjugacyResult(False, None, stats)
-    return ConjugacyResult(True, c1 * c * c2.inverse(), stats)
+    return ConjugacyResult(True, cx.conjugator * c * cy.conjugator.inverse(), stats)
 
 
 def naive_sc(x: Element) -> set[Element]:
     """The invariant vertex set, enumerated brute force (desk scale only)."""
-    return set(_naive_walk(slide_to_circuit(x)[0]))
+    return set(_naive_walk(circuit_of(x).base))

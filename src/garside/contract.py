@@ -112,10 +112,25 @@ class GarsideContext(SimpleLatticeOps, ABC):
     def check_simple(self, s: Simple) -> None:
         """Raise ContextMismatchError if s cannot belong to this context.
 
-        The default accepts anything; concrete contexts override with a
-        cheap shape check.  Called at API boundaries (element builders),
-        not in inner loops.
+        The default strips s by atom division, at most ‖Δ‖ times, and
+        requires the identity to remain and the division not to fail on s
+        as on a value of the wrong shape; concrete contexts override it
+        with a cheap shape check.  Called at API boundaries (element
+        builders), not in inner loops.
         """
+        wrong_shape = (GarsideError, TypeError, ValueError, LookupError, AttributeError)
+        t = s
+        try:
+            for _ in range(self.delta_norm + 1):
+                fd = self.first_left_divisor(t)
+                if fd is None:
+                    if t == self.identity:
+                        return
+                    break
+                t = fd[1]
+        except wrong_shape as exc:
+            raise ContextMismatchError(f"not a simple element: {s!r}") from exc
+        raise ContextMismatchError(f"not a simple element: {s!r}")
 
     def _measure_delta(self) -> int:
         """Atom length of delta, established by stripping it to the identity."""

@@ -393,7 +393,7 @@ def _right_head(x: Element) -> Simple:
 
 
 def gcd_elements(a: Element, b: Element) -> Element:
-    """Greatest common divisor for the prefix order."""
+    """Greatest common divisor for the prefix order (a test reference)."""
     require_same_context(a.ctx, b.ctx)
     ctx = a.ctx
     m = min(a.p, b.p)
@@ -411,7 +411,7 @@ def gcd_elements(a: Element, b: Element) -> Element:
 
 
 def rgcd_elements(a: Element, b: Element) -> Element:
-    """Greatest common divisor for the suffix order."""
+    """Greatest common divisor for the suffix order (a test reference)."""
     require_same_context(a.ctx, b.ctx)
     ctx = a.ctx
     m = min(a.p, b.p)
@@ -429,40 +429,20 @@ def rgcd_elements(a: Element, b: Element) -> Element:
 
 
 def lcm_elements(a: Element, b: Element) -> Element:
-    """Least common multiple for the prefix order: Δ^m·d⁻¹ with d a suffix gcd."""
-    require_same_context(a.ctx, b.ctx)
-    ctx = a.ctx
-    m = max(a.sup, b.sup)
-    d = rgcd_elements(
-        a.inverse().mul_delta_power(m), b.inverse().mul_delta_power(m)
-    )
-    return delta_power_element(ctx, m) * d.inverse()
-
-
-def positive_prefix(x: Element, q: int) -> Element:
-    """1 ∨ x·Δ^{-q}, read off the right normal form in O(1) factor picks.
-
-    Requires inf(x) <= q <= sup(x); the result is the product of the
-    leftmost ``sup(x) - q`` right-normal-form factors of x.
-    """
-    r = x.sup - q
-    if not 0 <= r <= len(x.factors):
-        raise GarsideError(
-            f"positive_prefix needs inf <= q <= sup, got q={q} for "
-            f"inf={x.p}, sup={x.sup}"
-        )
-    ctx = x.ctx
-    fs: list = []
-    p = 0
-    for s in x.right_factors[:r]:
-        p = _append(ctx, p, fs, s)
-    return Element._make(ctx, p, fs)
+    """Least common multiple for the prefix order: a·(1 ∨ a⁻¹b), since the
+    order is invariant under left multiplication."""
+    return a * positive_part(a.inverse() * b)
 
 
 def positive_part(x: Element) -> Element:
-    """1 ∨ x."""
+    """1 ∨ x; for x = y₁⋯y_r·Δ^p with p < 0 < sup(x) that is y₁⋯y_{r+p}."""
     if x.sup <= 0:
         return identity_element(x.ctx)
     if x.p >= 0:
         return x
-    return positive_prefix(x, 0)
+    ctx = x.ctx
+    fs: list = []
+    p = 0
+    for s in x.right_factors[:x.sup]:
+        p = _append(ctx, p, fs, s)
+    return Element._make(ctx, p, fs)

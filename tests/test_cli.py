@@ -42,7 +42,7 @@ GOLDEN = [
         ["conj", "-n", "4", "1 2 3", "2 3 1"],
         0,
         '{"input": ["1 2 3", "2 3 1"], "n": 4, "result": "conjugate", "seed": null, '
-        '"stats": {"N": 1, "R_max": 1, "T": 1, "contract_calls": 188, "sc_size": 2}, '
+        '"stats": {"N": 1, "R_max": 1, "T": 1, "contract_calls": 168, "sc_size": 2}, '
         '"witness": "D^0 (1 2 1 3)"}\n',
     ),
     (
@@ -56,7 +56,7 @@ GOLDEN = [
         ["conj", "-n", "5", "D 2 1 4 3 4 . 1", "1 -2 4 4 3"],
         1,
         '{"input": ["D 2 1 4 3 4 . 1", "1 -2 4 4 3"], "n": 5, "result": "not-conjugate", '
-        '"seed": null, "stats": {"N": 6, "R_max": 2, "T": 1, "contract_calls": 1127, '
+        '"seed": null, "stats": {"N": 6, "R_max": 2, "T": 1, "contract_calls": 1036, '
         '"sc_size": 6}, "witness": null}\n',
     ),
     (
@@ -66,7 +66,17 @@ GOLDEN = [
         '{"label": "D^0 (1 3)", "source": 0, "target": 1}, '
         '{"label": "D^0 (2)", "source": 1, "target": 0}], '
         '"vertices": ["D^0 (1 3 2)", "D^0 (2 1 3)"]}, "seed": null, '
-        '"stats": {"N": 1, "R_max": 2, "T": 1, "contract_calls": 382, "sc_size": 2}, '
+        '"stats": {"N": 1, "R_max": 2, "T": 1, "contract_calls": 326, "sc_size": 2}, '
+        '"witness": null}\n',
+    ),
+    (
+        ["circuit", "-n", "5", "D 2 1 4 3 4 . 1"],
+        0,
+        '{"input": ["D 2 1 4 3 4 . 1"], "n": 5, "result": {"conjugator": "D^0", '
+        '"elements": ["D^1 (2 1 3 4 3) (1)", "D^1 (1 3) (3 2 1 4)", '
+        '"D^1 (1 3 2 1 4) (2)", "D^1 (1 3 2 1 4) (4)", "D^1 (2 4) (2 1 3 4)", '
+        '"D^1 (2 1 3 4 3) (3)"], "period": 6}, "seed": null, '
+        '"stats": {"N": 6, "R_max": 0, "T": 0, "contract_calls": 54, "sc_size": 0}, '
         '"witness": null}\n',
     ),
 ]

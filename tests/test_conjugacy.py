@@ -14,12 +14,11 @@ from garside.conjugacy import (
     iterated_pullback_to_repetition,
     naive_sc,
     naive_solve,
-    slide_to_circuit,
     solve_conjugacy,
     transport_cycle,
 )
 from garside.elements import left_divides, positive_part
-from garside.errors import GarsideError, OracleSizeError
+from garside.errors import OracleSizeError
 from garside.oracle import enumerate_simples, is_left_divisor
 from garside.sliding import (
     minimal_sss_conjugator,
@@ -43,35 +42,45 @@ def _b5_example(b5):
 
 
 def test_slide_to_circuit_examples(b3, b5):
+    # periodic points: the circuit starts at x and the conjugator is trivial
     x = g.normalize(b3, [S1, S1])
-    tilde, c = slide_to_circuit(x)
-    assert tilde == x and c.is_identity
+    circuit = circuit_of(x)
+    assert circuit.base == x and circuit.conjugator.is_identity
 
     x = g.simple_element(b3, S1S2)
-    tilde, c = slide_to_circuit(x)
-    assert tilde == x and c.is_identity
+    circuit = circuit_of(x)
+    assert circuit.base == x and circuit.conjugator.is_identity
 
     y, _ = _b5_example(b5)
-    tilde, c = slide_to_circuit(y)
-    assert tilde == y and c.is_identity
+    circuit = circuit_of(y)
+    assert circuit.base == y and circuit.conjugator.is_identity
 
 
 def test_slide_to_circuit_conjugator(b4, rng):
     for _ in range(100):
         x = random_element(b4, rng, rng.randint(0, 8))
-        tilde, c = slide_to_circuit(x)
-        assert x.conjugated(c) == tilde
-        assert slide_to_first_repetition(tilde).entry_index == 0
+        circuit = circuit_of(x)
+        assert x.conjugated(circuit.conjugator) == circuit.base
+        assert slide_to_first_repetition(circuit.base).elements == circuit.elements
 
 
-def test_circuit_of_rejects_transient_points(b4, rng):
+def test_circuit_of_from_transient_point(b4, rng):
+    transient = 0
     for _ in range(50):
         x = random_element(b4, rng, 6)
         traj = slide_to_first_repetition(x)
-        if traj.entry_index > 0:
-            with pytest.raises(GarsideError):
-                circuit_of(x)
-            return
+        if traj.entry_index == 0:
+            continue
+        transient += 1
+        stats = g.RunStats()
+        circuit = circuit_of(x, stats)
+        assert circuit.elements == traj.circuit_elements
+        assert x.conjugated(circuit.conjugator) == circuit.elements[0]
+        assert not circuit.conjugator.is_identity
+        assert (stats.trajectory_entry, stats.circuit_period) == (
+            traj.entry_index, traj.period
+        )
+    assert transient > 0
 
 
 def test_transport_cycle_trivial(b3):

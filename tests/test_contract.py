@@ -1,5 +1,7 @@
 """The atom-level interface and its braid realization."""
 
+import types
+
 import pytest
 
 import garside as g
@@ -13,6 +15,12 @@ S2 = (0, 2, 1)
 S1S2 = (2, 0, 1)
 S2S1 = (1, 2, 0)
 DELTA3 = (2, 1, 0)
+
+
+def test_package_exports_no_modules():
+    for name in g.__all__:
+        assert not isinstance(getattr(g, name), types.ModuleType), name
+    assert "circuit_of" in g.__all__ and "elements" not in g.__all__
 
 
 def test_atom_order_is_stable(b3):

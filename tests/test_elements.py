@@ -10,10 +10,10 @@ from garside.elements import (
     lcm_elements,
     left_divides,
     positive_part,
-    positive_prefix,
     rgcd_elements,
 )
-from garside.errors import GarsideError
+from garside.contract import GarsideContext
+from garside.errors import ContextMismatchError
 from garside.oracle import enumerate_simples
 
 from conftest import eval_word, random_element
@@ -36,6 +36,22 @@ def test_normalize_reads_pair_payloads_of_b2(b2):
     assert g.normalize(b2, [b2.delta, (b2.delta, -1)]).is_identity
     x = g.normalize(b2, [(b2.delta, 1), b2.identity, b2.delta])
     assert (x.p, x.factors) == (2, ())
+
+
+def test_normalize_reads_pairs_under_the_default_check(b2):
+    # a context without a check_simple override: the default check strips
+    # the value by atom division, so the B_2 identity is not a signed part
+    class View(GarsideContext):
+        def _divide_atom_left(self, a, s):
+            return b2._divide_atom_left(a, s)
+
+        def _divide_atom_right(self, s, a):
+            return b2._divide_atom_right(s, a)
+
+    view = View(b2.atoms, b2.identity, b2.delta)
+    assert g.normalize(view, [view.identity]).is_identity
+    with pytest.raises(ContextMismatchError):
+        g.normalize(view, [0])
 
 
 def test_normalize_keeps_given_normal_form(b5):
@@ -178,6 +194,13 @@ def test_element_gcd_universal_property(b3):
                 assert left_divides(c, d)
 
 
+def _lcm_by_suffix_gcd(a, b):
+    """Reference lcm: Δ^m·rgcd(a⁻¹Δ^m, b⁻¹Δ^m)⁻¹ with m = max(sup a, sup b)."""
+    m = max(a.sup, b.sup)
+    d = rgcd_elements(a.inverse().mul_delta_power(m), b.inverse().mul_delta_power(m))
+    return g.delta_power_element(a.ctx, m) * d.inverse()
+
+
 def test_element_lcm_is_common_multiple(b4, rng):
     for _ in range(60):
         a = positive_part(random_element(b4, rng, rng.randint(0, 5)))
@@ -188,17 +211,28 @@ def test_element_lcm_is_common_multiple(b4, rng):
         assert g.right_divides(d, a) and g.right_divides(d, b)
 
 
+def test_lcm_matches_suffix_gcd_formula(rng):
+    negative = 0
+    for n in (3, 4, 5, 6):
+        ctx = g.braid_context(n)
+        for _ in range(50):
+            a = random_element(ctx, rng, rng.randint(0, 6))
+            b = random_element(ctx, rng, rng.randint(0, 6))
+            negative += min(a.inf, b.inf) < 0
+            assert lcm_elements(a, b) == _lcm_by_suffix_gcd(a, b)
+    assert negative >= 100
+
+
 def test_positive_prefix(b4, rng):
+    # 1 ∨ x·Δ^-q for inf <= q <= sup: the leftmost sup - q right factors of x
+    identity = g.identity_element(b4)
     for _ in range(1000):
         x = random_element(b4, rng, rng.randint(0, 8))
         q = rng.randint(x.inf, x.sup)
-        got = positive_prefix(x, q)
-        expected = lcm_elements(g.identity_element(b4), x.mul_delta_power(-q))
-        assert got == expected
-    x = random_element(b4, rng, 6)
-    assert positive_prefix(x, x.sup).is_identity
-    with pytest.raises(GarsideError):
-        positive_prefix(x, x.sup + 1)
+        got = positive_part(x.mul_delta_power(-q))
+        assert got == _lcm_by_suffix_gcd(identity, x.mul_delta_power(-q))
+        assert got == g.normalize(b4, x.right_factors[:x.sup - q])
+    assert positive_part(x.mul_delta_power(-x.sup)).is_identity
 
 
 def test_positive_part(b4, rng):
@@ -207,7 +241,7 @@ def test_positive_part(b4, rng):
         p = positive_part(x)
         assert p.is_positive
         assert left_divides(x, p) or x == p
-        assert p == lcm_elements(g.identity_element(b4), x)
+        assert p == _lcm_by_suffix_gcd(g.identity_element(b4), x)
 
 
 def _reference_normal_form(ctx, p, parts):
