@@ -58,6 +58,87 @@ def _inverse(u: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(inv)
 
 
+# -- permutation-table kernels ------------------------------------------------
+# Pure functions of their tables; ``n`` is the table length.  A kernel of
+# two simples takes them as one pair, which is also its memo key.
+
+def _right_complement(s):
+    """s⁻¹·Δ."""
+    m = len(s) - 1
+    return tuple(m - x for x in _inverse(s))
+
+
+def _left_complement(s):
+    """Δ·s⁻¹."""
+    return tuple(reversed(_inverse(s)))
+
+
+def _tau(s):
+    """Δ⁻¹·s·Δ."""
+    m = len(s) - 1
+    return tuple(m - x for x in reversed(s))
+
+
+def _gcd(s, t):
+    # Strip common descents, accumulating the stripped atoms as a product.
+    n = len(s)
+    s = list(s)
+    t = list(t)
+    g = list(range(n))
+    pos = list(range(n))
+    j = 0
+    while j < n - 1:
+        if s[j] > s[j + 1] and t[j] > t[j + 1]:
+            s[j], s[j + 1] = s[j + 1], s[j]
+            t[j], t[j + 1] = t[j + 1], t[j]
+            pj, pj1 = pos[j], pos[j + 1]
+            g[pj], g[pj1] = j + 1, j
+            pos[j], pos[j + 1] = pj1, pj
+            # a strip can only create new common descents next door
+            if j:
+                j -= 1
+        else:
+            j += 1
+    return tuple(g)
+
+
+def _gcd_pair(pair):
+    return _gcd(*pair)
+
+
+def _local_sliding(pair):
+    s, t = pair
+    u = _gcd(_right_complement(s), t)
+    return _mult(s, u), _mult(_inverse(u), t)
+
+
+def _local_right_sliding(pair):
+    s, t = pair
+    u = _inverse(_gcd(_inverse(s), _inverse(_left_complement(t))))
+    return _mult(s, _inverse(u)), _mult(u, t)
+
+
+#: Most entries one kernel memo of a BraidContext holds; a full memo is
+#: cleared before it takes the next entry.
+MEMO_LIMIT = 1 << 14
+
+
+class _Memo(dict):
+    """Results of one kernel, keyed by its argument, computed on first use."""
+
+    __slots__ = ("kernel",)
+
+    def __init__(self, kernel):
+        super().__init__()
+        self.kernel = kernel
+
+    def __missing__(self, key):
+        if len(self) >= MEMO_LIMIT:
+            self.clear()
+        value = self[key] = self.kernel(key)
+        return value
+
+
 class BraidContext(GarsideContext):
     """Garside structure of the braid group on ``n`` strands (``n >= 2``)."""
 
@@ -65,6 +146,12 @@ class BraidContext(GarsideContext):
         if n < 2:
             raise GarsideError(f"need at least 2 strands, got {n}")
         self.n = n
+        self._right_complements = _Memo(_right_complement)
+        self._left_complements = _Memo(_left_complement)
+        self._taus = _Memo(_tau)
+        self._gcds = _Memo(_gcd_pair)
+        self._slidings = _Memo(_local_sliding)
+        self._right_slidings = _Memo(_local_right_sliding)
         atoms = tuple(Atom(i, f"s{i}") for i in range(1, n))
         identity = tuple(range(n))
         delta = tuple(range(n - 1, -1, -1))
@@ -116,9 +203,10 @@ class BraidContext(GarsideContext):
 
     # -- native fast paths ----------------------------------------------------
     # Only the derived operations on the solver's path are overridden.  Each
-    # override charges one counter unit and then works directly on the
-    # permutation tables; the generic routines in SimpleLatticeOps serve
-    # every other derived operation and remain the reference for these.
+    # override charges one counter unit, on a memo hit as on a miss, and
+    # reads its answer from a per-context memo of a permutation-table
+    # kernel; the generic routines in SimpleLatticeOps serve every other
+    # derived operation and remain the reference for these.
 
     def atom_simple(self, a):
         j = self._check_atom(a)
@@ -128,71 +216,33 @@ class BraidContext(GarsideContext):
 
     def right_complement(self, s):
         self.ops.calls += 1
-        return self._rc(s)
+        return self._right_complements[s]
 
     def left_complement(self, s):
         self.ops.calls += 1
-        return self._lc(s)
+        return self._left_complements[s]
 
     def tau_power(self, s, k: int):
         self.ops.calls += 1
         if k % 2 == 0:
             return s
-        return self._tau(s)
-
-    def _rc(self, s):
-        inv = _inverse(s)
-        m = self.n - 1
-        return tuple(m - x for x in inv)
-
-    def _lc(self, s):
-        inv = _inverse(s)
-        m = self.n - 1
-        return tuple(inv[m - j] for j in range(self.n))
-
-    def _tau(self, s):
-        m = self.n - 1
-        return tuple(m - s[m - j] for j in range(self.n))
+        return self._taus[s]
 
     def gcd_simple(self, s, t):
         self.ops.calls += 1
-        return self._gcd(s, t)
-
-    def _gcd(self, s, t):
-        # Strip common descents, accumulating the stripped atoms as a product.
-        n = self.n
-        s = list(s)
-        t = list(t)
-        g = list(range(n))
-        pos = list(range(n))
-        j = 0
-        while j < n - 1:
-            if s[j] > s[j + 1] and t[j] > t[j + 1]:
-                s[j], s[j + 1] = s[j + 1], s[j]
-                t[j], t[j + 1] = t[j + 1], t[j]
-                pj, pj1 = pos[j], pos[j + 1]
-                g[pj], g[pj1] = j + 1, j
-                pos[j], pos[j + 1] = pj1, pj
-                # a strip can only create new common descents next door
-                if j:
-                    j -= 1
-            else:
-                j += 1
-        return tuple(g)
+        return self._gcds[s, t]
 
     def rgcd_simple(self, s, t):
         self.ops.calls += 1
-        return _inverse(self._gcd(_inverse(s), _inverse(t)))
+        return _inverse(_gcd(_inverse(s), _inverse(t)))
 
     def local_sliding(self, s, t):
         self.ops.calls += 1
-        u = self._gcd(self._rc(s), t)
-        return _mult(s, u), _mult(_inverse(u), t)
+        return self._slidings[s, t]
 
     def local_right_sliding(self, s, t):
         self.ops.calls += 1
-        u = _inverse(self._gcd(_inverse(s), _inverse(self._lc(t))))
-        return _mult(s, _inverse(u)), _mult(u, t)
+        return self._right_slidings[s, t]
 
 
 def braid_context(n: int) -> BraidContext:

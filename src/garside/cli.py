@@ -14,6 +14,7 @@ Exit codes: 0 success (and "conjugate" for ``conj``), 1 not conjugate,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -201,7 +202,9 @@ def _add_common(sub, *words: str) -> None:
     sub.add_argument("--seed", type=int, default=None, help="seed echoed in output")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``garside`` parser, built on first use and shared by later calls."""
     parser = argparse.ArgumentParser(
         prog="garside",
         description="Normal forms, cyclic sliding and conjugacy in braid groups.",

@@ -12,9 +12,11 @@ element, and equal values hash equally.  The rest of the package relies
 on this canonicality and uses plain ``==``/``hash`` in hot paths; the
 generic stripping-based equality remains available for cross-checking.
 
-Contexts are immutable after construction (the attached operation counter
-is instrumentation, not algebraic state) and can be shared freely between
-threads; all operations are pure functions of their inputs.
+Contexts are algebraically immutable after construction (the attached
+operation counter is instrumentation, not algebraic state); a context may
+keep idempotent memo caches, so a race at worst recomputes a value.  They
+can be shared freely between threads; all operations are pure functions
+of their inputs.
 """
 
 from __future__ import annotations
@@ -47,7 +49,8 @@ class OpCounter:
     """Counter for basic operations performed through a context.
 
     One unit is charged per required-operation call (atom division) and
-    per invocation of a native fast-path override.  The count is
+    per invocation of a native fast-path override; an override that
+    answers from a memo is charged like one that computes.  The count is
     the abstract cost unit reported in run statistics; it makes no
     wall-clock claim.  Updates are not synchronized: under concurrent use
     the count is approximate.

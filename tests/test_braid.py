@@ -1,15 +1,26 @@
 """The braid context: construction, divisibility convention, words."""
 
 import itertools
+import random
+import sys
+import threading
 
 import pytest
 
 import garside as g
-from garside.braid import WordParseError, parse_word, simple_to_word, word_from_element
+import garside.braid
+from garside.braid import (
+    MEMO_LIMIT,
+    WordParseError,
+    parse_word,
+    simple_to_word,
+    word_from_element,
+)
 from garside.errors import GarsideError, OracleSizeError
 from garside.oracle import enumerate_simples
+from garside.simples import SimpleLatticeOps
 
-from conftest import eval_word, inversions, random_element
+from conftest import eval_word, inversions, random_element, random_simple
 
 
 def test_two_strand_group(b2):
@@ -140,3 +151,110 @@ def test_output_format(b3):
     assert word_from_element(x) == "D^1 (1)"
     assert word_from_element(g.identity_element(b3)) == "D^0"
     assert word_from_element(g.delta_power_element(b3, -2)) == "D^-2"
+
+
+# -- memoized overrides ----------------------------------------------------
+
+#: Each memoized BraidContext override as (name, arguments from a pair).
+MEMOIZED = [
+    ("right_complement", lambda s, t: (s,)),
+    ("left_complement", lambda s, t: (s,)),
+    ("tau_power", lambda s, t: (s, 1)),
+    ("tau_power", lambda s, t: (s, -3)),
+    ("gcd_simple", lambda s, t: (s, t)),
+    ("local_sliding", lambda s, t: (s, t)),
+    ("local_right_sliding", lambda s, t: (s, t)),
+]
+
+
+def _memo_pairs():
+    b4 = enumerate_simples(g.braid_context(4))
+    yield 4, list(itertools.product(b4, repeat=2))
+    ctx, rng = g.braid_context(6), random.Random(6)
+    yield 6, [(random_simple(ctx, rng), random_simple(ctx, rng)) for _ in range(1000)]
+
+
+@pytest.mark.parametrize("n, pairs", list(_memo_pairs()), ids=["b4-all", "b6-random"])
+def test_memoized_overrides_match_generic(n, pairs):
+    ctx = g.braid_context(n)
+    for name, arguments in MEMOIZED:
+        generic = getattr(SimpleLatticeOps, name)
+        for s, t in pairs:
+            args = arguments(s, t)
+            cold = getattr(ctx, name)(*args)
+            warm = getattr(ctx, name)(*args)
+            assert cold == warm == generic(ctx, *args), (name, args)
+
+
+def test_memo_hits_are_charged_like_misses():
+    ctx = g.braid_context(5)
+    s, t = (1, 0, 3, 4, 2), (4, 2, 0, 1, 3)
+    for name, arguments in MEMOIZED:
+        for _ in range(3):
+            before = ctx.ops.calls
+            getattr(ctx, name)(*arguments(s, t))
+            assert ctx.ops.calls == before + 1, name
+
+
+def test_warm_context_solves_alike():
+    # a conjugate B5 pair that needs arrows, solved on a cold and then a warm
+    # memo; the inputs are rebuilt, since an element caches its right
+    # normal form and a second solve of the same objects would pay less
+    ctx = g.braid_context(5)
+
+    def solve():
+        x = g.element_from_word(ctx, parse_word("1 2 -3 4 4 2 1"))
+        y = x.conjugated(g.element_from_word(ctx, parse_word("3 -2 4")))
+        result = g.solve_conjugacy(x, y)
+        assert result.conjugate and x.conjugated(result.witness) == y
+        return result
+
+    cold, warm = solve(), solve()
+    assert cold.stats.r_max > 0  # arrows were computed
+    assert warm.stats == cold.stats
+    assert warm.witness == cold.witness
+
+
+def test_full_memo_is_cleared():
+    ctx = g.braid_context(6)
+    simples = enumerate_simples(ctx)
+    pairs = list(itertools.islice(itertools.product(simples, repeat=2), MEMO_LIMIT + 500))
+    first = []
+    for s, t in pairs:
+        first.append(ctx.local_sliding(s, t))
+        assert len(ctx._slidings) <= MEMO_LIMIT
+    assert len(ctx._slidings) < len(pairs)
+    for k in range(0, len(pairs), 97):
+        assert ctx.local_sliding(*pairs[k]) == first[k]
+        assert first[k] == SimpleLatticeOps.local_sliding(ctx, *pairs[k])
+
+
+def test_memo_shared_between_threads(monkeypatch):
+    # a small bound makes the threads clear the memo under each other
+    monkeypatch.setattr(garside.braid, "MEMO_LIMIT", 50)
+    ctx = g.braid_context(5)
+    rng = random.Random(8)
+    pairs = [(random_simple(ctx, rng), random_simple(ctx, rng)) for _ in range(300)]
+    expected = [SimpleLatticeOps.local_sliding(ctx, s, t) for s, t in pairs]
+    wrong = []
+
+    def work(shift):
+        for k in range(len(pairs)):
+            i = (k + shift) % len(pairs)
+            if ctx.local_sliding(*pairs[i]) != expected[i]:
+                wrong.append(i)
+            if len(ctx._slidings) > 50 + 8:
+                wrong.append("bound")
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(37 * j,)) for j in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []

@@ -1,10 +1,12 @@
 """Command-line surface: outputs, exit codes, JSON stability, DOT export."""
 
+import hashlib
 import json
+import random
 
 import pytest
 
-from garside.cli import main
+from garside.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -38,28 +40,31 @@ def test_json_is_byte_stable(capsys):
 
 
 GOLDEN = [
-    (
+    pytest.param(
         ["conj", "-n", "4", "1 2 3", "2 3 1"],
         0,
         '{"input": ["1 2 3", "2 3 1"], "n": 4, "result": "conjugate", "seed": null, '
         '"stats": {"N": 1, "R_max": 1, "T": 1, "contract_calls": 168, "sc_size": 2}, '
         '"witness": "D^0 (1 2 1 3)"}\n',
+        id="conj-b4-conjugate",
     ),
-    (
+    pytest.param(
         ["conj", "-n", "5", "1 2 -3 4 2", "-4 1 2 -3 4 2 4"],
         0,
         '{"input": ["1 2 -3 4 2", "-4 1 2 -3 4 2 4"], "n": 5, "result": "conjugate", '
         '"seed": null, "stats": {"N": 1, "R_max": 0, "T": 1, "contract_calls": 33, '
         '"sc_size": 1}, "witness": "D^0 (4)"}\n',
+        id="conj-b5-one-circuit",
     ),
-    (
+    pytest.param(
         ["conj", "-n", "5", "D 2 1 4 3 4 . 1", "1 -2 4 4 3"],
         1,
         '{"input": ["D 2 1 4 3 4 . 1", "1 -2 4 4 3"], "n": 5, "result": "not-conjugate", '
         '"seed": null, "stats": {"N": 6, "R_max": 2, "T": 1, "contract_calls": 1036, '
         '"sc_size": 6}, "witness": null}\n',
+        id="conj-b5-not-conjugate",
     ),
-    (
+    pytest.param(
         ["scg", "-n", "4", "1 2 3"],
         0,
         '{"input": ["1 2 3"], "n": 4, "result": {"arrows": ['
@@ -68,8 +73,9 @@ GOLDEN = [
         '"vertices": ["D^0 (1 3 2)", "D^0 (2 1 3)"]}, "seed": null, '
         '"stats": {"N": 1, "R_max": 2, "T": 1, "contract_calls": 326, "sc_size": 2}, '
         '"witness": null}\n',
+        id="scg-b4",
     ),
-    (
+    pytest.param(
         ["circuit", "-n", "5", "D 2 1 4 3 4 . 1"],
         0,
         '{"input": ["D 2 1 4 3 4 . 1"], "n": 5, "result": {"conjugator": "D^0", '
@@ -78,6 +84,7 @@ GOLDEN = [
         '"D^1 (2 1 3 4 3) (3)"], "period": 6}, "seed": null, '
         '"stats": {"N": 6, "R_max": 0, "T": 0, "contract_calls": 54, "sc_size": 0}, '
         '"witness": null}\n',
+        id="circuit-b5",
     ),
 ]
 
@@ -162,3 +169,49 @@ def test_oracle_check(capsys):
     assert code == 0 and out.strip() == "agree:conjugate"
     code, out, _ = run(capsys, "oracle-check", "-n", "3", "1", "-1")
     assert code == 0 and out.strip() == "agree:not-conjugate"
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_shared_parser_survives_a_parse_error(capsys):
+    good = ("conj", "-n", "4", "1 2 3", "2 3 1", "--json")
+    first = run(capsys, *good)
+    with pytest.raises(SystemExit) as exc:
+        main(["conj", "-n", "four", "1", "2"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert run(capsys, "conj", "-n", "4", "1 x", "2", "--json")[0] == 2
+    assert run(capsys, *good) == first
+
+
+def _corpus(rng):
+    """80 seeded ``--json`` calls on B3-B5; even ``conj`` pairs are conjugate."""
+    def letters(n, most):
+        return [rng.choice((1, -1)) * rng.randint(1, n - 1)
+                for _ in range(rng.randint(1, most))]
+
+    def text(letters):
+        return " ".join(map(str, letters))
+
+    commands = ["conj"] * 32 + ["sc", "scg", "circuit", "stats"] * 12
+    for i, command in enumerate(commands):
+        n = 3 + i % 3
+        x = letters(n, 11 - n)
+        word = ("D " if rng.random() < 0.15 else "") + text(x)
+        if command != "conj":
+            yield [command, "-n", str(n), word, "--json"]
+        elif i % 2:
+            yield [command, "-n", str(n), word, text(letters(n, 11 - n)), "--json"]
+        else:
+            w = letters(n, 2)
+            y = [-a for a in reversed(w)] + x + w
+            yield [command, "-n", str(n), text(x), text(y), "--json"]
+
+
+def test_seeded_corpus_digest(capsys):
+    # answers, witnesses and contract_calls of 80 calls, pinned as one digest
+    rows = [[argv, *run(capsys, *argv)[:2]] for argv in _corpus(random.Random(5))]
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == "9b1ae555be7e140c48f226294f1dfbaa77e30837f8b9e4f1c5a88e840256a4b0"
