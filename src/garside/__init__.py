@@ -36,14 +36,10 @@ from .elements import (
     Element,
     atom_element,
     delta_power_element,
-    gcd_elements,
     identity_element,
     lcm_elements,
-    left_divides,
     normalize,
     positive_part,
-    rgcd_elements,
-    right_divides,
     simple_element,
 )
 from .errors import (

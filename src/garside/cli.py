@@ -26,6 +26,7 @@ from .braid import (
     word_from_element,
 )
 from .conjugacy import (
+    ConjugacyResult,
     RunStats,
     circuit_of,
     enumerate_sc,
@@ -143,22 +144,28 @@ def _cmd_scg(args) -> int:
     return EXIT_OK
 
 
+def _solve_checked(x: Element, y: Element, oracle: bool) -> ConjugacyResult:
+    """Solve and verify the witness.  With ``oracle``, also run the
+    brute-force reference, require its verdict and verify its witness."""
+    outcome = solve_conjugacy(x, y)
+    outcomes = [outcome]
+    if oracle:
+        reference = naive_solve(x, y)
+        if reference.conjugate != outcome.conjugate:
+            raise InternalInvariantError("solver and brute-force reference disagree")
+        outcomes.append(reference)
+    for o in outcomes:
+        if o.conjugate and x.conjugated(o.witness) != y:
+            raise InternalInvariantError("conjugacy witness failed verification")
+    return outcome
+
+
 def _cmd_conj(args) -> int:
     ctx = BraidContext(args.n)
     x = _element(ctx, args.word_x)
     y = _element(ctx, args.word_y)
-    outcome = solve_conjugacy(x, y)
-    if args.oracle:
-        reference = naive_solve(x, y)
-        if reference.conjugate != outcome.conjugate:
-            raise InternalInvariantError(
-                "solver and brute-force reference disagree"
-            )
-    witness_word = None
-    if outcome.conjugate:
-        if x.conjugated(outcome.witness) != y:
-            raise InternalInvariantError("conjugacy witness failed verification")
-        witness_word = word_from_element(outcome.witness)
+    outcome = _solve_checked(x, y, args.oracle)
+    witness_word = word_from_element(outcome.witness) if outcome.conjugate else None
     result = "conjugate" if outcome.conjugate else "not-conjugate"
     lines = [result] if witness_word is None else [result, witness_word]
     _emit(
@@ -182,15 +189,9 @@ def _cmd_oracle_check(args) -> int:
     ctx = BraidContext(args.n)
     x = _element(ctx, args.word_x)
     y = _element(ctx, args.word_y)
-    fast = solve_conjugacy(x, y)
-    slow = naive_solve(x, y)
-    if fast.conjugate != slow.conjugate:
-        raise InternalInvariantError("solver and brute-force reference disagree")
-    for outcome in (fast, slow):
-        if outcome.conjugate and x.conjugated(outcome.witness) != y:
-            raise InternalInvariantError("conjugacy witness failed verification")
-    result = "agree:" + ("conjugate" if fast.conjugate else "not-conjugate")
-    _emit(args, _payload(args, [args.word_x, args.word_y], result, None, fast.stats), [result])
+    outcome = _solve_checked(x, y, oracle=True)
+    result = "agree:" + ("conjugate" if outcome.conjugate else "not-conjugate")
+    _emit(args, _payload(args, [args.word_x, args.word_y], result, None, outcome.stats), [result])
     return EXIT_OK
 
 

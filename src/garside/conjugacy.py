@@ -18,8 +18,7 @@ from collections import deque
 
 from .contract import GarsideContext, Simple, require_same_context
 from .elements import Element, atom_element, identity_element
-from .errors import InternalInvariantError
-from .oracle import enumerate_simples
+from .errors import InternalInvariantError, OracleSizeError
 from .sliding import (
     Trajectory,
     _first_repetition,
@@ -339,6 +338,32 @@ def solve_conjugacy(x: Element, y: Element) -> ConjugacyResult:
 
 
 # -- brute-force reference solver ------------------------------------------
+
+ENUMERATION_LIMIT = 720  # 6! simples; braids beyond six strands are refused
+
+
+def enumerate_simples(
+    ctx: GarsideContext, limit: int = ENUMERATION_LIMIT
+) -> list[Simple]:
+    """All simple elements, as the closure of {1} under right atom products."""
+    seen = {ctx.identity}
+    order = [ctx.identity]
+    frontier = [ctx.identity]
+    while frontier:
+        nxt = []
+        for s in frontier:
+            for a in ctx.atoms:
+                t = ctx.mult_atom_right(s, a)
+                if t is not None and t not in seen:
+                    if len(order) >= limit:
+                        raise OracleSizeError(
+                            f"context has more than {limit} simple elements"
+                        )
+                    seen.add(t)
+                    order.append(t)
+                    nxt.append(t)
+        frontier = nxt
+    return order
 
 
 def _naive_walk(

@@ -9,8 +9,8 @@ is derived from these.
 Simple elements are opaque *canonical* values owned by the context: two
 values compare equal with ``==`` iff they represent the same group
 element, and equal values hash equally.  The rest of the package relies
-on this canonicality and uses plain ``==``/``hash`` in hot paths; the
-generic stripping-based equality remains available for cross-checking.
+on this canonicality and uses plain ``==``/``hash`` everywhere; the
+tests cross-check it against a stripping-based equality.
 
 Contexts are algebraically immutable after construction (the attached
 operation counter is instrumentation, not algebraic state); a context may
@@ -57,9 +57,6 @@ class OpCounter:
     """
 
     calls: int = 0
-
-    def reset(self) -> None:
-        self.calls = 0
 
 
 class GarsideContext(SimpleLatticeOps, ABC):

@@ -224,14 +224,6 @@ class Element:
             p = _append(ctx, p, fs, s)
         return Element._make(ctx, p, fs)
 
-    def __pow__(self, k: int) -> "Element":
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = identity_element(self.ctx)
-        for _ in range(k):
-            out = out * self
-        return out
-
     def inverse(self) -> "Element":
         """x⁻¹, read off the normal form factor by factor."""
         ctx = self.ctx
@@ -367,66 +359,6 @@ def normalize(
 
 
 # -- order and lattice operations ---------------------------------------------
-
-def left_divides(a: Element, b: Element) -> bool:
-    """a ≼ b: is a⁻¹·b positive?"""
-    return (a.inverse() * b).p >= 0
-
-
-def right_divides(a: Element, b: Element) -> bool:
-    """b ≽ a: is b·a⁻¹ positive?"""
-    return (b * a.inverse()).p >= 0
-
-
-def _head(x: Element) -> Simple:
-    """x ∧ Δ for positive x: Δ, the first factor, or the identity."""
-    if x.p >= 1:
-        return x.ctx.delta
-    return x.factors[0] if x.factors else x.ctx.identity
-
-
-def _right_head(x: Element) -> Simple:
-    """x ∧^r Δ for positive x: Δ, the last right factor, or the identity."""
-    if x.p >= 1:
-        return x.ctx.delta
-    return x.right_factors[-1] if x.factors else x.ctx.identity
-
-
-def gcd_elements(a: Element, b: Element) -> Element:
-    """Greatest common divisor for the prefix order (a test reference)."""
-    require_same_context(a.ctx, b.ctx)
-    ctx = a.ctx
-    m = min(a.p, b.p)
-    ap = Element._make(ctx, a.p - m, a.factors)
-    bp = Element._make(ctx, b.p - m, b.factors)
-    d = identity_element(ctx)
-    while True:
-        u = ctx.gcd_simple(_head(ap), _head(bp))
-        if u == ctx.identity:
-            break
-        d = d.mul_simple(u)
-        ap = ap.lmul_simple_inverse(u)
-        bp = bp.lmul_simple_inverse(u)
-    return Element._make(ctx, d.p + m, d.factors)
-
-
-def rgcd_elements(a: Element, b: Element) -> Element:
-    """Greatest common divisor for the suffix order (a test reference)."""
-    require_same_context(a.ctx, b.ctx)
-    ctx = a.ctx
-    m = min(a.p, b.p)
-    ap = a.mul_delta_power(-m)
-    bp = b.mul_delta_power(-m)
-    d = identity_element(ctx)
-    while True:
-        u = ctx.rgcd_simple(_right_head(ap), _right_head(bp))
-        if u == ctx.identity:
-            break
-        d = d.lmul_simple(u)
-        ap = ap.mul_simple_inverse(u)
-        bp = bp.mul_simple_inverse(u)
-    return d.mul_delta_power(m)
-
 
 def lcm_elements(a: Element, b: Element) -> Element:
     """Least common multiple for the prefix order: a·(1 ∨ a⁻¹b), since the

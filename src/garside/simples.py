@@ -7,14 +7,16 @@ operations, the atom list and the distinguished simples ``identity`` and
 override any of these methods with faster native code (the braid context
 does, for the ones on the solver's path), in which case the generic
 version stays reachable as an unbound call, e.g.
-``SimpleLatticeOps.gcd_simple(ctx, s, t)``.
+``SimpleLatticeOps.gcd_simple(ctx, s, t)``.  Only operations the package
+calls are here; lcm, equality and weightedness checks that only tests
+need are kept with the test references (``tests/reference.py``).
 
 Two determinism rules are baked in and relied upon elsewhere:
 
 * "take an atom dividing s" always scans the atom list in index order and
   takes the first divisor;
-* stripping common atoms (gcd, equality, local sliding) restarts the atom
-  scan from the first atom after every successful strip.
+* stripping common atoms (gcd, local sliding) restarts the atom scan from
+  the first atom after every successful strip.
 
 The second rule lives in one place, :meth:`SimpleLatticeOps._strip_common`,
 which every stripping routine calls with the atom division of its side.
@@ -49,25 +51,6 @@ class SimpleLatticeOps:
             if q is not None:
                 return a, q
         return None
-
-    def is_trivial_simple(self, s) -> bool:
-        """True iff s is the identity (no atom divides it)."""
-        return self.first_left_divisor(s) is None
-
-    def equal_simple(self, s, t) -> bool:
-        """Test s == t by stripping common atom prefixes until none remain."""
-        s, t, _ = self._strip_common(self.divide_atom_left, s, t)
-        return self.is_trivial_simple(s) and self.is_trivial_simple(t)
-
-    def atom_length(self, s) -> int:
-        """Number of atoms in any decomposition of the simple element s."""
-        count = 0
-        while True:
-            fd = self.first_left_divisor(s)
-            if fd is None:
-                return count
-            _, s = fd
-            count += 1
 
     def atom_simple(self, a):
         """The simple element represented by the atom a."""
@@ -152,18 +135,6 @@ class SimpleLatticeOps:
             d = self.divide_atom_right(d, a)
         return self.right_complement(d)
 
-    def lcm_simple(self, s, t):
-        """Least common multiple of two simples for the prefix order."""
-        return self.left_complement(
-            self.rgcd_simple(self.right_complement(s), self.right_complement(t))
-        )
-
-    def rlcm_simple(self, s, t):
-        """Least common multiple of two simples for the suffix order."""
-        return self.right_complement(
-            self.gcd_simple(self.left_complement(s), self.left_complement(t))
-        )
-
     # -- local slidings -------------------------------------------------
 
     def local_sliding(self, s, t):
@@ -203,13 +174,3 @@ class SimpleLatticeOps:
         if q is None:
             return None
         return self.right_complement(q)
-
-    # -- checks used by tests and assertions ------------------------------
-
-    def is_left_weighted(self, s, t) -> bool:
-        """True iff the pair s·t is left weighted: ∂(s) ∧ t = 1."""
-        return self.gcd_simple(self.right_complement(s), t) == self.identity
-
-    def is_right_weighted(self, s, t) -> bool:
-        """True iff the pair s·t is right weighted: s ∧^r ∂⁻¹(t) = 1."""
-        return self.rgcd_simple(s, self.left_complement(t)) == self.identity

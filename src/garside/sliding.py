@@ -16,7 +16,7 @@ from typing import Callable
 
 from .contract import Simple, require_same_context
 from .elements import Element, identity_element, lcm_elements, positive_part
-from .errors import GarsideError, InternalInvariantError
+from .errors import InternalInvariantError
 
 
 def preferred_prefix(x: Element) -> Simple:
@@ -63,26 +63,17 @@ def transport(x: Element, alpha: Element) -> Element:
     return out.mul_simple(preferred_prefix(xa))
 
 
-def pullback_step(z: Element, y: Element, s: Element, checked: bool = False) -> Element:
+def pullback_step(z: Element, y: Element, s: Element) -> Element:
     """The pullback of the positive s at y = 𝔰(z): (𝔭(z)·s·𝔭ʳ(y^s)⁻¹) ∨ 1.
 
     This is the minimal positive element whose transport at z admits s as
     a prefix, provided z lies in a sliding circuit and y^s is super
     summit.  Those preconditions cost as much to verify as the operation
-    itself, so they are only validated when ``checked`` is true.
+    itself, so they are not validated here.
     """
     require_same_context(z.ctx, y.ctx)
     require_same_context(z.ctx, s.ctx)
-    if checked:
-        if cyclic_sliding(z) != y:
-            raise GarsideError("pullback anchor is not the sliding of its source")
-        if not s.is_positive:
-            raise GarsideError("pullback needs a positive element")
     ys = y.conjugated(s)
-    if checked:
-        summit = slide_to_first_repetition(ys).circuit_elements[0]
-        if (ys.p, ys.sup) != (summit.p, summit.sup):
-            raise GarsideError("pullback target is not super summit")
     w = s.lmul_simple(preferred_prefix(z)).mul_simple_inverse(preferred_suffix(ys))
     return positive_part(w)
 

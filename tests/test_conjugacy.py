@@ -11,21 +11,22 @@ from garside.conjugacy import (
     arrows_at,
     circuit_of,
     enumerate_sc,
+    enumerate_simples,
     iterated_pullback_to_repetition,
     naive_sc,
     naive_solve,
     solve_conjugacy,
     transport_cycle,
 )
-from garside.elements import left_divides, positive_part
+from garside.elements import positive_part
 from garside.errors import OracleSizeError
-from garside.oracle import enumerate_simples, is_left_divisor
 from garside.sliding import (
     minimal_sss_conjugator,
     slide_to_first_repetition,
 )
 
 from conftest import eval_word, random_element
+from reference import brute_minimal_simple, is_left_divisor, left_divides
 
 S1 = (1, 0, 2)
 S2 = (0, 2, 1)
@@ -143,7 +144,6 @@ def test_pullback_value_is_brute_force_minimal_b5(b5):
     # simple whose whole-circuit transport admits the seed as a prefix while
     # conjugating the base into the super summit set
     from garside.conjugacy import _transport_once_around
-    from garside.oracle import brute_minimal_simple
 
     y, s = _b5_example(b5)
     circuit = circuit_of(y)

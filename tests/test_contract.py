@@ -1,12 +1,14 @@
 """The atom-level interface and its braid realization."""
 
+import inspect
 import types
 
 import pytest
 
 import garside as g
+from garside.conjugacy import enumerate_simples
 from garside.errors import ContextMismatchError
-from garside.oracle import enumerate_simples
+from garside.simples import SimpleLatticeOps
 
 from conftest import BareContext, eval_word, inversions
 
@@ -21,6 +23,35 @@ def test_package_exports_no_modules():
     for name in g.__all__:
         assert not isinstance(getattr(g, name), types.ModuleType), name
     assert "circuit_of" in g.__all__ and "elements" not in g.__all__
+
+
+def test_public_surface_is_pinned():
+    # what a structure inherits and what the package exports; test-only
+    # references belong in tests/reference.py, not here
+    assert g.__all__ == [
+        "Atom", "BraidContext", "BraidWord", "Circuit", "ConjugacyResult",
+        "ContextMismatchError", "Element", "GarsideContext", "GarsideError",
+        "InternalInvariantError", "OpCounter", "OracleSizeError", "RunStats",
+        "SCGraph", "Simple", "Trajectory", "WordParseError", "arrows_at",
+        "atom_element", "braid_context", "circuit_of", "cyclic_sliding",
+        "delta_power_element", "element_from_word", "enumerate_sc",
+        "identity_element", "is_rigid", "iterated_pullback_to_repetition",
+        "lcm_elements", "minimal_sss_conjugator", "naive_sc", "naive_solve",
+        "normalize", "parse_word", "positive_part", "preferred_prefix",
+        "preferred_suffix", "pullback_step", "simple_element",
+        "slide_to_first_repetition", "solve_conjugacy", "transport",
+        "transport_cycle", "word_from_element",
+    ]
+    methods = sorted(
+        name for name, value in vars(SimpleLatticeOps).items()
+        if inspect.isfunction(value) and not name.startswith("_")
+    )
+    assert methods == [
+        "atom_simple", "first_left_divisor", "first_right_divisor",
+        "gcd_simple", "left_complement", "local_right_sliding",
+        "local_sliding", "mult_atom_left", "mult_atom_right", "rgcd_simple",
+        "right_complement", "tau_power",
+    ]
 
 
 def test_atom_order_is_stable(b3):

