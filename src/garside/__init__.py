@@ -27,7 +27,6 @@ from .conjugacy import (
     circuit_of,
     enumerate_sc,
     iterated_pullback_to_repetition,
-    naive_sc,
     naive_solve,
     solve_conjugacy,
     transport_cycle,
@@ -51,7 +50,6 @@ from .errors import (
 from .sliding import (
     Trajectory,
     cyclic_sliding,
-    is_rigid,
     minimal_sss_conjugator,
     preferred_prefix,
     preferred_suffix,

@@ -1,11 +1,11 @@
-"""Command-line interface.
+"""Command-line interface: the ``garside`` command.
 
-Subcommands: ``nf`` (normal form), ``slide`` (iterated cyclic sliding),
-``circuit`` (slide to a circuit and report its period), ``sc`` (enumerate
-the invariant vertex set), ``scg`` (the full graph, optionally as DOT),
-``conj`` (decide/search conjugacy), ``stats`` (instrumentation for one
-input) and ``oracle-check`` (cross-check the solver against the
-brute-force reference at desk scale).
+Each subcommand is one row of :data:`COMMANDS`: name, help text, word
+arguments, handler and the options only that subcommand takes.
+:func:`main` does what they share: it builds the context, parses the
+words, calls the handler with one element per word and writes the
+:class:`Reply` it returns, as text lines or, under ``--json``, as one
+JSON object.
 
 Exit codes: 0 success (and "conjugate" for ``conj``), 1 not conjugate,
 2 usage or parse error, 3 internal invariant violation.
@@ -17,6 +17,7 @@ import argparse
 import functools
 import json
 import sys
+from typing import NamedTuple
 
 from .braid import (
     BraidContext,
@@ -33,7 +34,7 @@ from .conjugacy import (
     naive_solve,
     solve_conjugacy,
 )
-from .elements import Element
+from .elements import Element, simple_element
 from .errors import GarsideError, InternalInvariantError, OracleSizeError
 from .sliding import cyclic_sliding
 
@@ -43,164 +44,120 @@ EXIT_USAGE = 2
 EXIT_INVARIANT = 3
 
 
-def _element(ctx: BraidContext, text: str) -> Element:
-    return element_from_word(ctx, parse_word(text))
+class Reply(NamedTuple):
+    """A handler's JSON fields, text lines and exit code; a reply without a
+    result (``scg --dot``) is written as text even under ``--json``."""
+
+    result: object
+    lines: list[str]
+    stats: RunStats | None = None
+    witness: str | None = None
+    code: int = EXIT_OK
 
 
-def _emit(args, payload: dict, text_lines: list[str]) -> None:
-    if args.json:
-        sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
-    else:
-        for line in text_lines:
-            sys.stdout.write(line + "\n")
+def _nf(args, x: Element) -> Reply:
+    word = word_from_element(x)
+    return Reply(word, [word])
 
 
-def _payload(args, words, result, witness, stats: RunStats | None) -> dict:
-    return {
-        "input": list(words),
-        "n": args.n,
-        "seed": getattr(args, "seed", None),
-        "result": result,
-        "witness": witness,
-        "stats": stats.as_dict() if stats is not None else None,
-    }
-
-
-def _cmd_nf(args) -> int:
-    ctx = BraidContext(args.n)
-    word = word_from_element(_element(ctx, args.word))
-    _emit(args, _payload(args, [args.word], word, None, None), [word])
-    return EXIT_OK
-
-
-def _cmd_slide(args) -> int:
-    ctx = BraidContext(args.n)
-    x = _element(ctx, args.word)
+def _slide(args, x: Element) -> Reply:
     for _ in range(args.steps):
         x = cyclic_sliding(x)
     word = word_from_element(x)
-    _emit(args, _payload(args, [args.word], word, None, None), [word])
-    return EXIT_OK
+    return Reply(word, [word])
 
 
-def _cmd_circuit(args) -> int:
-    ctx = BraidContext(args.n)
-    x = _element(ctx, args.word)
+def _circuit(args, x: Element) -> Reply:
+    # counted around circuit_of alone, as the solver entry points count
     stats = RunStats()
-    start_calls = ctx.ops.calls
+    start_calls = x.ctx.ops.calls
     circuit = circuit_of(x, stats)
-    stats.contract_calls = ctx.ops.calls - start_calls
+    stats.contract_calls = x.ctx.ops.calls - start_calls
     elements = [word_from_element(v) for v in circuit.elements]
-    result = {
-        "period": circuit.period,
-        "elements": elements,
-        "conjugator": word_from_element(circuit.conjugator),
-    }
-    lines = [f"period {circuit.period}", f"conjugator {result['conjugator']}"]
-    lines += [f"  {w}" for w in elements]
-    _emit(args, _payload(args, [args.word], result, None, stats), lines)
-    return EXIT_OK
+    conjugator = word_from_element(circuit.conjugator)
+    result = {"period": circuit.period, "elements": elements, "conjugator": conjugator}
+    lines = [f"period {circuit.period}", f"conjugator {conjugator}"]
+    return Reply(result, lines + [f"  {w}" for w in elements], stats)
 
 
-def _cmd_sc(args) -> int:
-    ctx = BraidContext(args.n)
-    graph = enumerate_sc(_element(ctx, args.word))
+def _sc(args, x: Element) -> Reply:
+    graph = enumerate_sc(x)
     vertices = [word_from_element(v) for v in graph.vertices]
     result = {"size": len(vertices), "vertices": vertices}
     lines = [f"size {len(vertices)}"] + [f"  {w}" for w in vertices]
-    _emit(args, _payload(args, [args.word], result, None, graph.stats), lines)
-    return EXIT_OK
+    return Reply(result, lines, graph.stats)
 
 
-def _cmd_scg(args) -> int:
-    from .elements import simple_element
-
-    ctx = BraidContext(args.n)
-    graph = enumerate_sc(_element(ctx, args.word))
+def _scg(args, x: Element) -> Reply:
+    graph = enumerate_sc(x)
     vertices = [word_from_element(v) for v in graph.vertices]
-    arrows = [
-        {
-            "source": src,
-            "target": dst,
-            "label": word_from_element(simple_element(ctx, label)),
-        }
-        for src, dst, label in graph.arrows
-    ]
+    arrows = [(src, dst, word_from_element(simple_element(x.ctx, label)))
+              for src, dst, label in graph.arrows]
     if args.dot:
         lines = ["digraph scg {"]
-        for i, w in enumerate(vertices):
-            lines.append(f'  v{i} [label="{w}"];')
-        for a in arrows:
-            lines.append(
-                f'  v{a["source"]} -> v{a["target"]} [label="{a["label"]}"];'
-            )
-        lines.append("}")
-        sys.stdout.write("\n".join(lines) + "\n")
-        return EXIT_OK
-    result = {"vertices": vertices, "arrows": arrows}
+        lines += [f'  v{i} [label="{w}"];' for i, w in enumerate(vertices)]
+        lines += [f'  v{src} -> v{dst} [label="{w}"];' for src, dst, w in arrows]
+        return Reply(None, lines + ["}"])
+    labelled = [{"source": src, "target": dst, "label": w} for src, dst, w in arrows]
+    result = {"vertices": vertices, "arrows": labelled}
     lines = [f"vertices {len(vertices)}, arrows {len(arrows)}"]
-    lines += [f'  {a["source"]} -> {a["target"]} : {a["label"]}' for a in arrows]
-    _emit(args, _payload(args, [args.word], result, None, graph.stats), lines)
-    return EXIT_OK
+    lines += [f"  {src} -> {dst} : {w}" for src, dst, w in arrows]
+    return Reply(result, lines, graph.stats)
 
 
 def _solve_checked(x: Element, y: Element, oracle: bool) -> ConjugacyResult:
     """Solve and verify the witness.  With ``oracle``, also run the
     brute-force reference, require its verdict and verify its witness."""
-    outcome = solve_conjugacy(x, y)
-    outcomes = [outcome]
+    outcomes = [solve_conjugacy(x, y)]
     if oracle:
-        reference = naive_solve(x, y)
-        if reference.conjugate != outcome.conjugate:
-            raise InternalInvariantError("solver and brute-force reference disagree")
-        outcomes.append(reference)
+        outcomes.append(naive_solve(x, y))
+    if outcomes[-1].conjugate != outcomes[0].conjugate:
+        raise InternalInvariantError("solver and brute-force reference disagree")
     for o in outcomes:
         if o.conjugate and x.conjugated(o.witness) != y:
             raise InternalInvariantError("conjugacy witness failed verification")
-    return outcome
+    return outcomes[0]
 
 
-def _cmd_conj(args) -> int:
-    ctx = BraidContext(args.n)
-    x = _element(ctx, args.word_x)
-    y = _element(ctx, args.word_y)
+def _conj(args, x: Element, y: Element) -> Reply:
     outcome = _solve_checked(x, y, args.oracle)
-    witness_word = word_from_element(outcome.witness) if outcome.conjugate else None
-    result = "conjugate" if outcome.conjugate else "not-conjugate"
-    lines = [result] if witness_word is None else [result, witness_word]
-    _emit(
-        args,
-        _payload(args, [args.word_x, args.word_y], result, witness_word, outcome.stats),
-        lines,
-    )
-    return EXIT_OK if outcome.conjugate else EXIT_NOT_CONJUGATE
+    if outcome.conjugate:
+        witness = word_from_element(outcome.witness)
+        return Reply("conjugate", ["conjugate", witness], outcome.stats, witness)
+    result = "not-conjugate"
+    return Reply(result, [result], outcome.stats, code=EXIT_NOT_CONJUGATE)
 
 
-def _cmd_stats(args) -> int:
-    ctx = BraidContext(args.n)
-    graph = enumerate_sc(_element(ctx, args.word))
-    stats = graph.stats
+def _stats(args, x: Element) -> Reply:
+    stats = enumerate_sc(x).stats
     lines = [f"{key} {value}" for key, value in sorted(stats.as_dict().items())]
-    _emit(args, _payload(args, [args.word], "ok", None, stats), lines)
-    return EXIT_OK
+    return Reply("ok", lines, stats)
 
 
-def _cmd_oracle_check(args) -> int:
-    ctx = BraidContext(args.n)
-    x = _element(ctx, args.word_x)
-    y = _element(ctx, args.word_y)
+def _oracle_check(args, x: Element, y: Element) -> Reply:
     outcome = _solve_checked(x, y, oracle=True)
     result = "agree:" + ("conjugate" if outcome.conjugate else "not-conjugate")
-    _emit(args, _payload(args, [args.word_x, args.word_y], result, None, outcome.stats), [result])
-    return EXIT_OK
+    return Reply(result, [result], outcome.stats)
 
 
-def _add_common(sub, *words: str) -> None:
-    sub.add_argument("-n", type=int, required=True, help="number of strands")
-    for word in words:
-        sub.add_argument(word, help="braid word")
-    sub.add_argument("--json", action="store_true", help="machine-readable output")
-    sub.add_argument("--seed", type=int, default=None, help="seed echoed in output")
+#: name, help, word arguments, handler, and options only that subcommand takes
+COMMANDS = (
+    ("nf", "left normal form of a braid word", ("word",), _nf, {}),
+    ("slide", "apply cyclic sliding", ("word",), _slide,
+     {"--steps": dict(type=int, default=1)}),
+    ("circuit", "slide to a circuit and report it", ("word",), _circuit, {}),
+    ("sc", "enumerate the sliding-circuit conjugates", ("word",), _sc, {}),
+    ("scg", "the sliding-circuit graph", ("word",), _scg,
+     {"--dot": dict(action="store_true", help="emit a DOT digraph")}),
+    ("conj", "decide conjugacy of two braid words", ("word_x", "word_y"), _conj,
+     {"--oracle": dict(
+         action="store_true",
+         help="cross-check against the brute-force reference (desk scale)",
+     )}),
+    ("stats", "instrumentation counters for one input", ("word",), _stats, {}),
+    ("oracle-check", "run solver and brute-force reference, compare",
+     ("word_x", "word_y"), _oracle_check, {}),
+)
 
 
 @functools.cache
@@ -211,55 +168,26 @@ def build_parser() -> argparse.ArgumentParser:
         description="Normal forms, cyclic sliding and conjugacy in braid groups.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    sub = subs.add_parser("nf", help="left normal form of a braid word")
-    _add_common(sub, "word")
-    sub.set_defaults(handler=_cmd_nf)
-
-    sub = subs.add_parser("slide", help="apply cyclic sliding")
-    _add_common(sub, "word")
-    sub.add_argument("--steps", type=int, default=1)
-    sub.set_defaults(handler=_cmd_slide)
-
-    sub = subs.add_parser("circuit", help="slide to a circuit and report it")
-    _add_common(sub, "word")
-    sub.set_defaults(handler=_cmd_circuit)
-
-    sub = subs.add_parser("sc", help="enumerate the sliding-circuit conjugates")
-    _add_common(sub, "word")
-    sub.set_defaults(handler=_cmd_sc)
-
-    sub = subs.add_parser("scg", help="the sliding-circuit graph")
-    _add_common(sub, "word")
-    sub.add_argument("--dot", action="store_true", help="emit a DOT digraph")
-    sub.set_defaults(handler=_cmd_scg)
-
-    sub = subs.add_parser("conj", help="decide conjugacy of two braid words")
-    _add_common(sub, "word_x", "word_y")
-    sub.add_argument(
-        "--oracle", action="store_true",
-        help="cross-check against the brute-force reference (desk scale)",
-    )
-    sub.set_defaults(handler=_cmd_conj)
-
-    sub = subs.add_parser("stats", help="instrumentation counters for one input")
-    _add_common(sub, "word")
-    sub.set_defaults(handler=_cmd_stats)
-
-    sub = subs.add_parser(
-        "oracle-check", help="run solver and brute-force reference, compare"
-    )
-    _add_common(sub, "word_x", "word_y")
-    sub.set_defaults(handler=_cmd_oracle_check)
-
+    for name, help_text, words, handler, options in COMMANDS:
+        sub = subs.add_parser(name, help=help_text)
+        sub.add_argument("-n", type=int, required=True, help="number of strands")
+        for word in words:
+            sub.add_argument(word, help="braid word")
+        sub.add_argument("--json", action="store_true", help="machine-readable output")
+        sub.add_argument("--seed", type=int, default=None, help="seed echoed in output")
+        for flag, spec in options.items():
+            sub.add_argument(flag, **spec)
+        sub.set_defaults(words=words, handler=handler)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    texts = [getattr(args, word) for word in args.words]
     try:
-        return args.handler(args)
+        ctx = BraidContext(args.n)
+        elements = [element_from_word(ctx, parse_word(text)) for text in texts]
+        reply = args.handler(args, *elements)
     except WordParseError as exc:
         sys.stderr.write(f"parse error: {exc}\n")
         return EXIT_USAGE
@@ -272,6 +200,20 @@ def main(argv: list[str] | None = None) -> int:
     except GarsideError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
+    if args.json and reply.result is not None:
+        payload = {
+            "input": texts,
+            "n": args.n,
+            "seed": args.seed,
+            "result": reply.result,
+            "witness": reply.witness,
+            "stats": reply.stats.as_dict() if reply.stats is not None else None,
+        }
+        out = json.dumps(payload, sort_keys=True) + "\n"
+    else:
+        out = "".join(line + "\n" for line in reply.lines)
+    sys.stdout.write(out)
+    return reply.code
 
 
 if __name__ == "__main__":

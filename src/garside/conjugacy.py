@@ -84,8 +84,11 @@ class Circuit:
 
 def circuit_of(x: Element, stats: RunStats | None = None) -> Circuit:
     """Slide x to its sliding circuit; the conjugator is the product of the
-    preferred prefixes along the pre-periodic part of the trajectory only."""
-    traj = slide_to_first_repetition(x)
+    preferred prefixes along the pre-periodic part of the trajectory only.
+
+    An uncached copy of x is slid, so that what earlier calls cached on x
+    cannot lower the ``contract_calls`` of this one."""
+    traj = slide_to_first_repetition(Element(x.ctx, x.p, x.factors))
     if stats is not None:
         stats.trajectory_entry = max(stats.trajectory_entry, traj.entry_index)
         stats.circuit_period = max(stats.circuit_period, traj.period)
@@ -402,8 +405,3 @@ def naive_solve(x: Element, y: Element) -> ConjugacyResult:
     if c is None:
         return ConjugacyResult(False, None, stats)
     return ConjugacyResult(True, cx.conjugator * c * cy.conjugator.inverse(), stats)
-
-
-def naive_sc(x: Element) -> set[Element]:
-    """The invariant vertex set, enumerated brute force (desk scale only)."""
-    return set(_naive_walk(circuit_of(x).base))

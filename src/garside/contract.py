@@ -105,10 +105,6 @@ class GarsideContext(SimpleLatticeOps, ABC):
         """The atoms, in their fixed index order."""
         return self._atoms
 
-    @property
-    def num_atoms(self) -> int:
-        return len(self._atoms)
-
     def check_simple(self, s: Simple) -> None:
         """Raise ContextMismatchError if s cannot belong to this context.
 

@@ -15,8 +15,8 @@ Two determinism rules are baked in and relied upon elsewhere:
 
 * "take an atom dividing s" always scans the atom list in index order and
   takes the first divisor;
-* stripping common atoms (gcd, local sliding) restarts the atom scan from
-  the first atom after every successful strip.
+* stripping common atoms (complements, gcd, local sliding) restarts the
+  atom scan from the first atom after every successful strip.
 
 The second rule lives in one place, :meth:`SimpleLatticeOps._strip_common`,
 which every stripping routine calls with the atom division of its side.
@@ -44,14 +44,6 @@ class SimpleLatticeOps:
                 return a, q
         return None
 
-    def first_right_divisor(self, s):
-        """First atom (in index order) right-dividing s, with quotient, or None."""
-        for a in self.atoms:
-            q = self.divide_atom_right(s, a)
-            if q is not None:
-                return a, q
-        return None
-
     def atom_simple(self, a):
         """The simple element represented by the atom a."""
         return self.mult_atom_left(a, self.identity)
@@ -60,27 +52,17 @@ class SimpleLatticeOps:
 
     def right_complement(self, s):
         """The simple element s⁻¹·Δ."""
-        d = self.delta
-        while True:
-            fd = self.first_left_divisor(s)
-            if fd is None:
-                return d
-            a, s = fd
-            d = self.divide_atom_left(a, d)
-            if d is None:
-                raise InternalInvariantError("right complement ran out of delta")
+        s, d, _ = self._strip_common(self.divide_atom_left, s, self.delta)
+        if s != self.identity:
+            raise InternalInvariantError("right complement ran out of delta")
+        return d
 
     def left_complement(self, s):
         """The simple element Δ·s⁻¹."""
-        d = self.delta
-        while True:
-            fd = self.first_right_divisor(s)
-            if fd is None:
-                return d
-            a, s = fd
-            d = self.divide_atom_right(d, a)
-            if d is None:
-                raise InternalInvariantError("left complement ran out of delta")
+        s, d, _ = self._strip_common(self._right_quotient, s, self.delta)
+        if s != self.identity:
+            raise InternalInvariantError("left complement ran out of delta")
+        return d
 
     def tau_power(self, s, k: int):
         """Conjugate of the simple s by Δ^k, computed as the 2k-th complement power."""

@@ -43,10 +43,6 @@ def preferred_suffix(x: Element) -> Simple:
     return s
 
 
-def is_rigid(x: Element) -> bool:
-    return preferred_prefix(x) == x.ctx.identity
-
-
 def cyclic_sliding(x: Element) -> Element:
     """Conjugate of x by its preferred prefix."""
     s = preferred_prefix(x)

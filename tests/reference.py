@@ -6,7 +6,8 @@ context as their first argument; the element-level ones are the textbook
 order and lattice operations; the divisor oracles decide divisibility by
 an independent characterization and take lattice extrema over enumerated
 simples (``garside.conjugacy.enumerate_simples``), so they refuse what
-cannot be enumerated.
+cannot be enumerated; ``naive_sc`` is the invariant set found by the
+brute-force solver's walk.
 """
 
 from __future__ import annotations
@@ -14,10 +15,16 @@ from __future__ import annotations
 from typing import Callable, Iterable
 
 from garside.braid import BraidContext, _inverse, _mult
+from garside.conjugacy import _naive_walk, circuit_of
 from garside.contract import GarsideContext, Simple, require_same_context
 from garside.elements import Element, identity_element
 from garside.errors import GarsideError, OracleSizeError
-from garside.sliding import cyclic_sliding, pullback_step, slide_to_first_repetition
+from garside.sliding import (
+    cyclic_sliding,
+    preferred_prefix,
+    pullback_step,
+    slide_to_first_repetition,
+)
 
 from conftest import inversions
 
@@ -27,6 +34,15 @@ from conftest import inversions
 def is_trivial_simple(ctx: GarsideContext, s: Simple) -> bool:
     """True iff s is the identity (no atom divides it)."""
     return ctx.first_left_divisor(s) is None
+
+
+def first_right_divisor(ctx: GarsideContext, s: Simple):
+    """First atom (in index order) right-dividing s, with quotient, or None."""
+    for a in ctx.atoms:
+        q = ctx.divide_atom_right(s, a)
+        if q is not None:
+            return a, q
+    return None
 
 
 def equal_simple(ctx: GarsideContext, s: Simple, t: Simple) -> bool:
@@ -171,7 +187,7 @@ def is_right_divisor(ctx: GarsideContext, d: Simple, s: Simple) -> bool:
         q = _mult(s, _inverse(d))
         return inversions(d) + inversions(q) == inversions(s)
     while True:
-        fd = ctx.first_right_divisor(d)
+        fd = first_right_divisor(ctx, d)
         if fd is None:
             return True
         a, d = fd
@@ -241,6 +257,11 @@ def brute_minimal_simple(
 
 # -- sliding -------------------------------------------------------------------
 
+def is_rigid(x: Element) -> bool:
+    """True iff the preferred prefix of x is trivial."""
+    return preferred_prefix(x) == x.ctx.identity
+
+
 def checked_pullback_step(z: Element, y: Element, s: Element) -> Element:
     """:func:`~garside.sliding.pullback_step` after validating its preconditions.
 
@@ -256,3 +277,10 @@ def checked_pullback_step(z: Element, y: Element, s: Element) -> Element:
     if (ys.p, ys.sup) != (summit.p, summit.sup):
         raise GarsideError("pullback target is not super summit")
     return pullback_step(z, y, s)
+
+
+# -- the invariant set -------------------------------------------------------
+
+def naive_sc(x: Element) -> set[Element]:
+    """The invariant vertex set, enumerated brute force (desk scale only)."""
+    return set(_naive_walk(circuit_of(x).base))

@@ -16,7 +16,6 @@ from garside.conjugacy import (
     circuit_of,
     enumerate_sc,
     enumerate_simples,
-    naive_sc,
     naive_solve,
     solve_conjugacy,
     transport_cycle,
@@ -38,6 +37,7 @@ from reference import (
     brute_lcm_simple,
     is_left_divisor,
     is_right_divisor,
+    naive_sc,
 )
 
 

@@ -25,7 +25,7 @@ from conftest import eval_word, inversions, random_element, random_simple
 
 
 def test_two_strand_group(b2):
-    assert b2.num_atoms == 1
+    assert len(b2.atoms) == 1
     assert b2.delta == (1, 0)
     assert len(enumerate_simples(b2)) == 2
     # B_2 elements are powers of the single generator, i.e. of delta
@@ -197,23 +197,36 @@ def test_memo_hits_are_charged_like_misses():
             assert ctx.ops.calls == before + 1, name
 
 
+def _b5_pair(ctx):
+    # a conjugate B5 pair that needs arrows
+    x = g.element_from_word(ctx, parse_word("1 2 -3 4 4 2 1"))
+    return x, x.conjugated(g.element_from_word(ctx, parse_word("3 -2 4")))
+
+
+def _solve(x, y):
+    result = g.solve_conjugacy(x, y)
+    assert result.conjugate and x.conjugated(result.witness) == y
+    return result
+
+
 def test_warm_context_solves_alike():
-    # a conjugate B5 pair that needs arrows, solved on a cold and then a warm
-    # memo; the inputs are rebuilt, since an element caches its right
-    # normal form and a second solve of the same objects would pay less
+    # solved on a cold and then a warm memo; the inputs are rebuilt, so
+    # only the context's memos are warm
     ctx = g.braid_context(5)
-
-    def solve():
-        x = g.element_from_word(ctx, parse_word("1 2 -3 4 4 2 1"))
-        y = x.conjugated(g.element_from_word(ctx, parse_word("3 -2 4")))
-        result = g.solve_conjugacy(x, y)
-        assert result.conjugate and x.conjugated(result.witness) == y
-        return result
-
-    cold, warm = solve(), solve()
+    cold, warm = _solve(*_b5_pair(ctx)), _solve(*_b5_pair(ctx))
     assert cold.stats.r_max > 0  # arrows were computed
     assert warm.stats == cold.stats
     assert warm.witness == cold.witness
+
+
+def test_same_elements_solve_alike():
+    # the preferred prefix an element caches once slid must not make a
+    # second solve of the same objects cheaper
+    x, y = _b5_pair(g.braid_context(5))
+    first, second = _solve(x, y), _solve(x, y)
+    assert first.stats.contract_calls == 351
+    assert second.stats == first.stats
+    assert second.witness == first.witness
 
 
 def test_full_memo_is_cleared():

@@ -96,6 +96,106 @@ def test_json_golden_bytes(capsys, argv, exit_code, stdout):
     assert (code, out) == (exit_code, stdout)
 
 
+TEXT = [
+    pytest.param(["nf", "-n", "3", "1 2 1 1"], 0, "D^1 (1)\n", id="nf"),
+    pytest.param(
+        ["slide", "-n", "4", "1 2 3", "--steps", "2"], 0, "D^0 (1 3 2)\n", id="slide"
+    ),
+    pytest.param(
+        ["circuit", "-n", "5", "D 2 1 4 3 4 . 1"],
+        0,
+        "period 6\nconjugator D^0\n  D^1 (2 1 3 4 3) (1)\n  D^1 (1 3) (3 2 1 4)\n"
+        "  D^1 (1 3 2 1 4) (2)\n  D^1 (1 3 2 1 4) (4)\n  D^1 (2 4) (2 1 3 4)\n"
+        "  D^1 (2 1 3 4 3) (3)\n",
+        id="circuit",
+    ),
+    pytest.param(
+        ["sc", "-n", "4", "1 2 3"], 0, "size 2\n  D^0 (1 3 2)\n  D^0 (2 1 3)\n", id="sc"
+    ),
+    pytest.param(
+        ["scg", "-n", "4", "1 2 3"],
+        0,
+        "vertices 2, arrows 2\n  0 -> 1 : D^0 (1 3)\n  1 -> 0 : D^0 (2)\n",
+        id="scg",
+    ),
+    pytest.param(
+        # DOT is written as text, --json or not
+        ["scg", "-n", "4", "1 2 3", "--dot", "--json"],
+        0,
+        'digraph scg {\n  v0 [label="D^0 (1 3 2)"];\n  v1 [label="D^0 (2 1 3)"];\n'
+        '  v0 -> v1 [label="D^0 (1 3)"];\n  v1 -> v0 [label="D^0 (2)"];\n}\n',
+        id="scg-dot-json",
+    ),
+    pytest.param(
+        ["conj", "-n", "4", "1 2 3", "2 3 1"],
+        0,
+        "conjugate\nD^0 (1 2 1 3)\n",
+        id="conj",
+    ),
+    pytest.param(
+        ["stats", "-n", "4", "1 2 3"],
+        0,
+        "N 1\nR_max 2\nT 1\ncontract_calls 326\nsc_size 2\n",
+        id="stats",
+    ),
+    pytest.param(
+        ["oracle-check", "-n", "4", "1 2 3", "1 2 -3"],
+        0,
+        "agree:not-conjugate\n",
+        id="oracle-check",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, exit_code, stdout", TEXT)
+def test_text_output(capsys, argv, exit_code, stdout):
+    assert run(capsys, *argv) == (exit_code, stdout, "")
+
+
+@pytest.mark.parametrize(
+    "argv, stderr",
+    [
+        (["nf", "-n", "1", "1 x"], "error: need at least 2 strands, got 1\n"),
+        (["conj", "-n", "4", "1 2", "2 x"],
+         "parse error: unrecognized token 'x' (at position 2)\n"),
+        (["conj", "-n", "4", "1 2", "2 9"],
+         "parse error: letter 9 needs at least 10 strands\n"),
+    ],
+    ids=["one-strand", "conj-second-word", "conj-second-word-range"],
+)
+def test_usage_errors(capsys, argv, stderr):
+    assert run(capsys, *argv, "--json") == (2, "", stderr)
+
+
+USAGE = {
+    "nf": "[-h] -n N [--json] [--seed SEED] word",
+    "slide": "[-h] -n N [--json] [--seed SEED] [--steps STEPS] word",
+    "circuit": "[-h] -n N [--json] [--seed SEED] word",
+    "sc": "[-h] -n N [--json] [--seed SEED] word",
+    "scg": "[-h] -n N [--json] [--seed SEED] [--dot] word",
+    "conj": "[-h] -n N [--json] [--seed SEED] [--oracle] word_x word_y",
+    "stats": "[-h] -n N [--json] [--seed SEED] word",
+    "oracle-check": "[-h] -n N [--json] [--seed SEED] word_x word_y",
+}
+
+
+def test_help(capsys, monkeypatch):
+    # usage lines spelled out; the full texts (argparse's layout as of
+    # Python 3.11, 80 columns) pinned as one digest
+    monkeypatch.setenv("COLUMNS", "80")
+    helps = {}
+    for command in ["", *USAGE]:
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"] if command else ["--help"])
+        assert exc.value.code == 0
+        helps[command] = capsys.readouterr().out
+        if command:
+            usage = helps[command].splitlines()[0]
+            assert usage == f"usage: garside {command} {USAGE[command]}"
+    digest = hashlib.sha256(json.dumps(helps, sort_keys=True).encode()).hexdigest()
+    assert digest == "a97a5bb0a34ce5b903eb2ad84f2664f4c5964b8619cc59a5167dbc9a755560c1"
+
+
 def test_conj_exit_codes_and_witness(capsys):
     code, out, _ = run(capsys, "conj", "-n", "3", "1", "2", "--json")
     assert code == 0

@@ -10,7 +10,6 @@ from garside.elements import positive_part
 from garside.errors import GarsideError, InternalInvariantError
 from garside.sliding import (
     cyclic_sliding,
-    is_rigid,
     minimal_sss_conjugator,
     preferred_prefix,
     preferred_suffix,
@@ -23,6 +22,7 @@ from conftest import eval_word, random_element
 from reference import (
     brute_minimal_simple,
     checked_pullback_step,
+    is_rigid,
     gcd_elements,
     is_right_divisor,
     left_divides,
