@@ -112,9 +112,19 @@ def _local_sliding(pair):
     return _mult(s, u), _mult(_inverse(u), t)
 
 
+def _rgcd(s, t):
+    # reversing words maps a permutation braid to the braid of the inverse
+    # permutation and the suffix order to the prefix order
+    return _inverse(_gcd(_inverse(s), _inverse(t)))
+
+
+def _rgcd_pair(pair):
+    return _rgcd(*pair)
+
+
 def _local_right_sliding(pair):
     s, t = pair
-    u = _inverse(_gcd(_inverse(s), _inverse(_left_complement(t))))
+    u = _rgcd(s, _left_complement(t))
     return _mult(s, _inverse(u)), _mult(u, t)
 
 
@@ -150,6 +160,7 @@ class BraidContext(GarsideContext):
         self._left_complements = _Memo(_left_complement)
         self._taus = _Memo(_tau)
         self._gcds = _Memo(_gcd_pair)
+        self._rgcds = _Memo(_rgcd_pair)
         self._slidings = _Memo(_local_sliding)
         self._right_slidings = _Memo(_local_right_sliding)
         atoms = tuple(Atom(i, f"s{i}") for i in range(1, n))
@@ -165,6 +176,11 @@ class BraidContext(GarsideContext):
 
     def __hash__(self) -> int:
         return hash(("BraidContext", self.n))
+
+    def _measure_delta(self) -> int:
+        """‖Δ‖ = n(n−1)/2, the number of crossings of the half twist;
+        stripping Δ atom by atom would take time cubic in n."""
+        return self.n * (self.n - 1) // 2
 
     # -- required operations ------------------------------------------------
 
@@ -234,7 +250,7 @@ class BraidContext(GarsideContext):
 
     def rgcd_simple(self, s, t):
         self.ops.calls += 1
-        return _inverse(_gcd(_inverse(s), _inverse(t)))
+        return self._rgcds[s, t]
 
     def local_sliding(self, s, t):
         self.ops.calls += 1

@@ -7,7 +7,12 @@ indecomposable conjugators once per circuit (at its first-found element)
 by combining a minimal summit conjugator with iterated pullbacks and
 transports along the circuit; stop when the target is met or the
 component is exhausted.  The other elements of a circuit are reached by
-cyclic sliding itself.  A brute-force solver that conjugates by every
+cyclic sliding itself.  Iterated transports and pullbacks end in a
+repetition because both maps send a positive divisor of Δ^k to another
+one (transport preserves the prefix order and fixes Δ^k, and the
+pullback of s is minimal among the elements whose transport s divides,
+Δ^k among them), so their orbits stay in a finite set; every value is
+checked against that bound.  A brute-force solver that conjugates by every
 simple element is kept as a desk-scale reference oracle.
 """
 
@@ -35,25 +40,19 @@ class RunStats:
     """Observed instrumentation counters for one solver run.
 
     ``trajectory_entry`` is the largest pre-periodic trajectory length
-    seen, ``circuit_period`` the largest sliding-circuit length,
-    ``r_max``/``pullback_max`` the largest distances at which iterated
-    transports/pullbacks first repeated, ``sc_size`` counts the elements
-    of the circuits explored, and ``contract_calls`` snapshots the
-    context's basic-operation counter.  No a-priori bounds are claimed for
-    any of these; they are observations.
+    seen, ``circuit_period`` the largest sliding-circuit length, ``r_max``
+    the largest number of whole-circuit transports applied until a value
+    repeated, ``sc_size`` counts the elements of the circuits explored,
+    and ``contract_calls`` is how far the context's basic-operation
+    counter advanced during the run.  These are observations; no loop is
+    bounded by them.
     """
 
     trajectory_entry: int = 0
     circuit_period: int = 0
     r_max: int = 0
-    pullback_max: int = 0
     sc_size: int = 0
     contract_calls: int = 0
-
-    def repetition_guard(self, delta_norm: int) -> int:
-        """Iteration cap for repetition searches: generous multiple of what
-        has been observed, with a floor at the proven rigid-case distance."""
-        return 4 * max(self.r_max, self.pullback_max, delta_norm) + 16
 
     def as_dict(self) -> dict:
         return {
@@ -98,19 +97,19 @@ def circuit_of(x: Element, stats: RunStats | None = None) -> Circuit:
     return Circuit(traj.circuit_elements, c)
 
 
+def _divisor_of_delta_power(value: Element, k: int, what: str) -> Element:
+    """Return value after checking that 1 ≼ value ≼ Δ^k, i.e. that it is
+    positive with sup at most k."""
+    if not value.is_positive or value.sup > k:
+        raise InternalInvariantError(f"{what} is not a positive divisor of Δ^{k}")
+    return value
+
+
 def _transport_once_around(circuit: Circuit, u: Element) -> Element:
+    k = u.sup
     for v in circuit.elements:
-        u = transport(v, u)
-        if not u.is_positive:
-            raise InternalInvariantError(
-                "transport of a positive conjugator between super summit "
-                "conjugates came out non-positive"
-            )
+        u = _divisor_of_delta_power(transport(v, u), k, "transport")
     return u
-
-
-def _round_cap(circuit: Circuit, stats: RunStats | None) -> int:
-    return (stats or RunStats()).repetition_guard(circuit.base.ctx.delta_norm)
 
 
 def transport_cycle(
@@ -121,12 +120,7 @@ def transport_cycle(
     The cycle of the result holds the transports that are fixed by some
     transport power, i.e. the conjugators landing back in a sliding circuit.
     """
-    cycle = _first_repetition(
-        lambda cur: _transport_once_around(circuit, cur),
-        u,
-        _round_cap(circuit, stats),
-        "transport",
-    )
+    cycle = _first_repetition(lambda cur: _transport_once_around(circuit, cur), u)
     if stats is not None:
         stats.r_max = max(stats.r_max, len(cycle.elements))
     return cycle
@@ -135,32 +129,21 @@ def transport_cycle(
 def _pullback_once_around(circuit: Circuit, s: Element) -> Element:
     n = circuit.period
     elems = circuit.elements
+    k = s.sup
     for m in range(n):
         anchor = elems[(n - m) % n]
         source = elems[(n - m - 1) % n]
-        s = pullback_step(source, anchor, s)
+        s = _divisor_of_delta_power(pullback_step(source, anchor, s), k, "pullback")
     return s
 
 
-def iterated_pullback_to_repetition(
-    circuit: Circuit, s: Element, stats: RunStats | None = None
-) -> Element:
+def iterated_pullback_to_repetition(circuit: Circuit, s: Element) -> Element:
     """Whole-circuit pullbacks of s until a value repeats; that value is returned."""
-    return _pullback_orbit(circuit, s, stats).circuit_elements[0]
+    return _pullback_orbit(circuit, s).circuit_elements[0]
 
 
-def _pullback_orbit(
-    circuit: Circuit, s: Element, stats: RunStats | None = None
-) -> Trajectory:
-    orbit = _first_repetition(
-        lambda cur: _pullback_once_around(circuit, cur),
-        s,
-        2 * _round_cap(circuit, stats),
-        "pullback",
-    )
-    if stats is not None:
-        stats.pullback_max = max(stats.pullback_max, len(orbit.elements))
-    return orbit
+def _pullback_orbit(circuit: Circuit, s: Element) -> Trajectory:
+    return _first_repetition(lambda cur: _pullback_once_around(circuit, cur), s)
 
 
 def _atom_divides(ctx: GarsideContext, a, x: Element) -> bool:
@@ -199,12 +182,9 @@ def arrows_at(
             s = atom_element(ctx, atom) * rho
         else:
             s = atom_element(ctx, atom)
-        if not (s.p == 0 and s.canonical_length <= 1) and not (
-            s.p == 1 and s.canonical_length == 0
-        ):
-            raise InternalInvariantError("summit conjugator of an atom not simple")
+        _divisor_of_delta_power(s, 1, "summit conjugator of an atom")
         if ctx.divide_atom_left(atom, prefix_v) is not None:
-            s = iterated_pullback_to_repetition(circuit, s, stats)
+            s = iterated_pullback_to_repetition(circuit, s)
         for candidate in transport_cycle(circuit, s, stats).circuit_elements:
             if not _atom_divides(ctx, atom, candidate):
                 continue

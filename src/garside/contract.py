@@ -129,7 +129,8 @@ class GarsideContext(SimpleLatticeOps, ABC):
         raise ContextMismatchError(f"not a simple element: {s!r}")
 
     def _measure_delta(self) -> int:
-        """Atom length of delta, established by stripping it to the identity."""
+        """Atom length of delta, established by stripping it to the identity;
+        a concrete context may override this with its known value."""
         count = 0
         s = self.delta
         while True:

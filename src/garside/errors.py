@@ -14,8 +14,8 @@ class InternalInvariantError(GarsideError):
 
     This always indicates a bug (or a malformed context), never bad user
     input: the algorithms only raise it when a proven statement about the
-    computation is violated, e.g. a transport of a positive element turns
-    out non-positive, or an iteration exceeds its certified bound.
+    computation is violated, e.g. a transport of a positive divisor of
+    Δ^k is not one, or an iteration exceeds its certified bound.
     """
 
 

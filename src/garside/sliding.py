@@ -86,8 +86,8 @@ def minimal_sss_conjugator(
     class (callers pass inf/sup of a known super summit conjugate); each
     round multiplies ρ by ``1 ∨ (x^ρ)⁻¹Δ^inf_target ∨ x^ρΔ^{-sup_target}``,
     read off the right normal forms.  When the caller certifies a round
-    bound (e.g. ‖Δ‖ for an atom seed), exceeding it raises
-    InternalInvariantError.
+    bound (e.g. ‖Δ‖ for an atom seed a, since then ρ ≼ ∂(a)), exceeding it
+    raises InternalInvariantError.
     """
     ctx = x.ctx
     rho = identity_element(ctx)
@@ -130,15 +130,14 @@ class Trajectory:
 
 
 def _first_repetition(
-    step: Callable[[Element], Element],
-    start: Element,
-    max_rounds: int | None = None,
-    kind: str = "",
+    step: Callable[[Element], Element], start: Element
 ) -> Trajectory:
     """Iterate step from start until a value repeats.
 
-    With ``max_rounds``, more than that many distinct values raise
-    InternalInvariantError naming the ``kind`` of iteration.
+    The loop ends because every step map iterated here keeps its orbit in
+    a finite set: cyclic sliding never lowers inf nor raises sup, and
+    transport and pullback map the positive divisors of Δ^k to themselves
+    (their callers in ``conjugacy`` check this).
     """
     seen: dict[Element, int] = {}
     elements: list[Element] = []
@@ -146,10 +145,6 @@ def _first_repetition(
     while cur not in seen:
         seen[cur] = len(elements)
         elements.append(cur)
-        if max_rounds is not None and len(elements) > max_rounds:
-            raise InternalInvariantError(
-                f"no {kind} repetition within {max_rounds} rounds"
-            )
         cur = step(cur)
     entry = seen[cur]
     return Trajectory(tuple(elements), entry, len(elements) - entry)

@@ -17,6 +17,7 @@ from garside.braid import (
     word_from_element,
 )
 from garside.conjugacy import enumerate_simples
+from garside.contract import GarsideContext
 from garside.errors import GarsideError, OracleSizeError
 from garside.simples import SimpleLatticeOps
 
@@ -49,6 +50,17 @@ def test_simple_counts():
 def test_rejects_too_few_strands():
     with pytest.raises(GarsideError):
         g.braid_context(1)
+
+
+def test_delta_norm_is_counted_not_stripped():
+    # ‖Δ‖ = n(n-1)/2 agrees with the generic atom-stripping measure, and a
+    # braid context charges nothing to find it, even at 800 strands
+    for n in range(2, 8):
+        assert g.braid_context(n).delta_norm == GarsideContext._measure_delta(
+            g.braid_context(n)
+        )
+    ctx = g.braid_context(800)
+    assert (ctx.delta_norm, ctx.ops.calls) == (319600, 0)
 
 
 def _reduced_words(n, max_len):
@@ -163,6 +175,7 @@ MEMOIZED = [
     ("tau_power", lambda s, t: (s, 1)),
     ("tau_power", lambda s, t: (s, -3)),
     ("gcd_simple", lambda s, t: (s, t)),
+    ("rgcd_simple", lambda s, t: (s, t)),
     ("local_sliding", lambda s, t: (s, t)),
     ("local_right_sliding", lambda s, t: (s, t)),
 ]

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+import garside.conjugacy
 from garside.cli import build_parser, main
 
 
@@ -206,6 +207,20 @@ def test_conj_exit_codes_and_witness(capsys):
 
     code, out, _ = run(capsys, "conj", "-n", "3", "1", "-1")
     assert code == 1 and out.strip() == "not-conjugate"
+
+
+def test_invariant_violation_exits_3(capsys, monkeypatch):
+    # a transport outside the divisors of Δ^k is a bug: exit 3, no stdout;
+    # the pair transports (R_max 1 in GOLDEN)
+    original = garside.conjugacy.transport
+    monkeypatch.setattr(
+        garside.conjugacy, "transport", lambda x, a: original(x, a).mul_delta_power(1)
+    )
+    code, out, err = run(capsys, "conj", "-n", "4", "1 2 3", "2 3 1", "--json")
+    assert (code, out) == (3, "")
+    assert err.startswith(
+        "internal invariant violated: transport is not a positive divisor"
+    )
 
 
 def test_conj_oracle_flag(capsys):

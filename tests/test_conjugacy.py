@@ -18,7 +18,7 @@ from garside.conjugacy import (
     transport_cycle,
 )
 from garside.elements import positive_part
-from garside.errors import OracleSizeError
+from garside.errors import InternalInvariantError, OracleSizeError
 from garside.sliding import (
     minimal_sss_conjugator,
     slide_to_first_repetition,
@@ -129,6 +129,8 @@ def test_transport_cycle_fixed_set_facts(b4, rng):
         u0 = positive_part(random_element(b4, rng, 2))
         u = u0 * minimal_sss_conjugator(v.conjugated(u0), v.inf, v.sup)
         cycle = transport_cycle(circuit, u)
+        for w in cycle.elements:  # positive divisors of Δ^sup(u)
+            assert w.is_positive and w.sup <= u.sup
         fixed = set(cycle.circuit_elements)
         if g.identity_element(b4) in fixed:
             assert fixed == {g.identity_element(b4)}
@@ -175,7 +177,33 @@ def test_iterated_pullback_monotonic(b4, rng):
         ps = iterated_pullback_to_repetition(circuit, rho_s)
         pt = iterated_pullback_to_repetition(circuit, rho_t)
         assert left_divides(ps, pt)
+        for seed in (rho_s, rho_t):  # positive divisors of Δ^sup(seed)
+            for w in _pullback_orbit(circuit, seed).elements:
+                assert w.is_positive and w.sup <= seed.sup
         done += 1
+
+
+@pytest.mark.parametrize("name, orbit, what", [
+    ("transport", transport_cycle, "transport"),
+    ("pullback_step", _pullback_orbit, "pullback"),
+], ids=["transport", "pullback"])
+def test_divisor_bound_is_checked(b5, monkeypatch, name, orbit, what):
+    # a value times Δ leaves the positive divisors of Δ^sup(seed); it is
+    # caught on the first pass around the circuit, not after some rounds
+    y, s = _b5_example(b5)
+    circuit = circuit_of(y)
+    original = getattr(garside.conjugacy, name)
+    calls = []
+
+    def times_delta(*args):
+        calls.append(args)
+        return original(*args).mul_delta_power(1)
+
+    monkeypatch.setattr(garside.conjugacy, name, times_delta)
+    with pytest.raises(InternalInvariantError) as info:
+        orbit(circuit, s)
+    assert str(info.value) == f"{what} is not a positive divisor of Δ^{s.sup}"
+    assert 0 < len(calls) <= circuit.period
 
 
 def _brute_arrows(ctx, v, sc, simples):
