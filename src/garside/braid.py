@@ -29,6 +29,7 @@ like ``"D^1 (2 1 4 3 4) (1)"``, parse back to the same element.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import re
 
 from .contract import Atom, GarsideContext, Simple
@@ -59,8 +60,7 @@ def _inverse(u: tuple[int, ...]) -> tuple[int, ...]:
 
 
 # -- permutation-table kernels ------------------------------------------------
-# Pure functions of their tables; ``n`` is the table length.  A kernel of
-# two simples takes them as one pair, which is also its memo key.
+# Pure functions of their tables; ``n`` is the table length.
 
 def _right_complement(s):
     """s⁻¹·Δ."""
@@ -102,12 +102,7 @@ def _gcd(s, t):
     return tuple(g)
 
 
-def _gcd_pair(pair):
-    return _gcd(*pair)
-
-
-def _local_sliding(pair):
-    s, t = pair
+def _local_sliding(s, t):
     u = _gcd(_right_complement(s), t)
     return _mult(s, u), _mult(_inverse(u), t)
 
@@ -118,35 +113,14 @@ def _rgcd(s, t):
     return _inverse(_gcd(_inverse(s), _inverse(t)))
 
 
-def _rgcd_pair(pair):
-    return _rgcd(*pair)
-
-
-def _local_right_sliding(pair):
-    s, t = pair
+def _local_right_sliding(s, t):
     u = _rgcd(s, _left_complement(t))
     return _mult(s, _inverse(u)), _mult(u, t)
 
 
-#: Most entries one kernel memo of a BraidContext holds; a full memo is
-#: cleared before it takes the next entry.
+#: Most entries one kernel cache of a BraidContext holds; a full cache
+#: evicts its least recently used entry to take the next one.
 MEMO_LIMIT = 1 << 14
-
-
-class _Memo(dict):
-    """Results of one kernel, keyed by its argument, computed on first use."""
-
-    __slots__ = ("kernel",)
-
-    def __init__(self, kernel):
-        super().__init__()
-        self.kernel = kernel
-
-    def __missing__(self, key):
-        if len(self) >= MEMO_LIMIT:
-            self.clear()
-        value = self[key] = self.kernel(key)
-        return value
 
 
 class BraidContext(GarsideContext):
@@ -156,14 +130,15 @@ class BraidContext(GarsideContext):
         if n < 2:
             raise GarsideError(f"need at least 2 strands, got {n}")
         self.n = n
-        self._right_complements = _Memo(_right_complement)
-        self._left_complements = _Memo(_left_complement)
-        self._taus = _Memo(_tau)
-        self._gcds = _Memo(_gcd_pair)
-        self._rgcds = _Memo(_rgcd_pair)
-        self._slidings = _Memo(_local_sliding)
-        self._right_slidings = _Memo(_local_right_sliding)
-        atoms = tuple(Atom(i, f"s{i}") for i in range(1, n))
+        cache = functools.lru_cache(MEMO_LIMIT)
+        self._right_complements = cache(_right_complement)
+        self._left_complements = cache(_left_complement)
+        self._taus = cache(_tau)
+        self._gcds = cache(_gcd)
+        self._rgcds = cache(_rgcd)
+        self._slidings = cache(_local_sliding)
+        self._right_slidings = cache(_local_right_sliding)
+        atoms = tuple(Atom(i) for i in range(1, n))
         identity = tuple(range(n))
         delta = tuple(range(n - 1, -1, -1))
         super().__init__(atoms, identity, delta)
@@ -219,10 +194,10 @@ class BraidContext(GarsideContext):
 
     # -- native fast paths ----------------------------------------------------
     # Only the derived operations on the solver's path are overridden.  Each
-    # override charges one counter unit, on a memo hit as on a miss, and
-    # reads its answer from a per-context memo of a permutation-table
-    # kernel; the generic routines in SimpleLatticeOps serve every other
-    # derived operation and remain the reference for these.
+    # override charges one counter unit, on a cache hit as on a miss, and
+    # answers through a per-context, least-recently-used cache of a
+    # permutation-table kernel; the generic routines in SimpleLatticeOps
+    # serve every other derived operation and remain the reference for these.
 
     def atom_simple(self, a):
         j = self._check_atom(a)
@@ -232,33 +207,33 @@ class BraidContext(GarsideContext):
 
     def right_complement(self, s):
         self.ops.calls += 1
-        return self._right_complements[s]
+        return self._right_complements(s)
 
     def left_complement(self, s):
         self.ops.calls += 1
-        return self._left_complements[s]
+        return self._left_complements(s)
 
     def tau_power(self, s, k: int):
         self.ops.calls += 1
         if k % 2 == 0:
             return s
-        return self._taus[s]
+        return self._taus(s)
 
     def gcd_simple(self, s, t):
         self.ops.calls += 1
-        return self._gcds[s, t]
+        return self._gcds(s, t)
 
     def rgcd_simple(self, s, t):
         self.ops.calls += 1
-        return self._rgcds[s, t]
+        return self._rgcds(s, t)
 
     def local_sliding(self, s, t):
         self.ops.calls += 1
-        return self._slidings[s, t]
+        return self._slidings(s, t)
 
     def local_right_sliding(self, s, t):
         self.ops.calls += 1
-        return self._right_slidings[s, t]
+        return self._right_slidings(s, t)
 
 
 def braid_context(n: int) -> BraidContext:

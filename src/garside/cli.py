@@ -29,6 +29,7 @@ from .braid import (
 from .conjugacy import (
     ConjugacyResult,
     RunStats,
+    _counted,
     circuit_of,
     enumerate_sc,
     naive_solve,
@@ -68,11 +69,8 @@ def _slide(args, x: Element) -> Reply:
 
 
 def _circuit(args, x: Element) -> Reply:
-    # counted around circuit_of alone, as the solver entry points count
-    stats = RunStats()
-    start_calls = x.ctx.ops.calls
-    circuit = circuit_of(x, stats)
-    stats.contract_calls = x.ctx.ops.calls - start_calls
+    with _counted(x.ctx) as stats:
+        circuit = circuit_of(x, stats)
     elements = [word_from_element(v) for v in circuit.elements]
     conjugator = word_from_element(circuit.conjugator)
     result = {"period": circuit.period, "elements": elements, "conjugator": conjugator}

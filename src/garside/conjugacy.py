@@ -18,8 +18,10 @@ simple element is kept as a desk-scale reference oracle.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 from collections import deque
+from typing import Iterator
 
 from .contract import GarsideContext, Simple, require_same_context
 from .elements import Element, atom_element, identity_element
@@ -62,6 +64,16 @@ class RunStats:
             "sc_size": self.sc_size,
             "contract_calls": self.contract_calls,
         }
+
+
+@contextlib.contextmanager
+def _counted(ctx: GarsideContext) -> Iterator[RunStats]:
+    """Fresh stats whose ``contract_calls`` is how far the context's counter
+    advances over the with-block."""
+    stats = RunStats()
+    start_calls = ctx.ops.calls
+    yield stats
+    stats.contract_calls = ctx.ops.calls - start_calls
 
 
 @dataclasses.dataclass(frozen=True)
@@ -289,14 +301,10 @@ def _explore(
     return SCGraph(tuple(vertices), tuple(arrows), tuple(parents), stats, index)
 
 
-def enumerate_sc(x: Element, stats: RunStats | None = None) -> SCGraph:
+def enumerate_sc(x: Element) -> SCGraph:
     """The full graph of sliding-circuit conjugates of x."""
-    if stats is None:
-        stats = RunStats()
-    start_calls = x.ctx.ops.calls
-    graph = _explore(circuit_of(x, stats), stats)
-    stats.contract_calls += x.ctx.ops.calls - start_calls
-    return graph
+    with _counted(x.ctx) as stats:
+        return _explore(circuit_of(x, stats), stats)
 
 
 def solve_conjugacy(x: Element, y: Element) -> ConjugacyResult:
@@ -307,16 +315,14 @@ def solve_conjugacy(x: Element, y: Element) -> ConjugacyResult:
     a negative answer means the whole invariant set was enumerated.
     """
     require_same_context(x.ctx, y.ctx)
-    stats = RunStats()
-    start_calls = x.ctx.ops.calls
-    cx, cy = circuit_of(x, stats), circuit_of(y, stats)
-    graph = _explore(cx, stats, target=cy.base)
-    vid = graph.index_of(cy.base)
-    witness = None
-    if vid is not None:
-        c = graph.conjugator_from_root(vid)
-        witness = cx.conjugator * c * cy.conjugator.inverse()
-    stats.contract_calls += x.ctx.ops.calls - start_calls
+    with _counted(x.ctx) as stats:
+        cx, cy = circuit_of(x, stats), circuit_of(y, stats)
+        graph = _explore(cx, stats, target=cy.base)
+        vid = graph.index_of(cy.base)
+        witness = None
+        if vid is not None:
+            c = graph.conjugator_from_root(vid)
+            witness = cx.conjugator * c * cy.conjugator.inverse()
     return ConjugacyResult(vid is not None, witness, stats)
 
 
@@ -325,9 +331,7 @@ def solve_conjugacy(x: Element, y: Element) -> ConjugacyResult:
 ENUMERATION_LIMIT = 720  # 6! simples; braids beyond six strands are refused
 
 
-def enumerate_simples(
-    ctx: GarsideContext, limit: int = ENUMERATION_LIMIT
-) -> list[Simple]:
+def enumerate_simples(ctx: GarsideContext) -> list[Simple]:
     """All simple elements, as the closure of {1} under right atom products."""
     seen = {ctx.identity}
     order = [ctx.identity]
@@ -338,9 +342,9 @@ def enumerate_simples(
             for a in ctx.atoms:
                 t = ctx.mult_atom_right(s, a)
                 if t is not None and t not in seen:
-                    if len(order) >= limit:
+                    if len(order) >= ENUMERATION_LIMIT:
                         raise OracleSizeError(
-                            f"context has more than {limit} simple elements"
+                            f"context has more than {ENUMERATION_LIMIT} simple elements"
                         )
                     seen.add(t)
                     order.append(t)
@@ -375,13 +379,12 @@ def _naive_walk(
 def naive_solve(x: Element, y: Element) -> ConjugacyResult:
     """Reference solver over the brute-force invariant set (desk scale only)."""
     require_same_context(x.ctx, y.ctx)
-    stats = RunStats()
-    start_calls = x.ctx.ops.calls
-    cx, cy = circuit_of(x, stats), circuit_of(y, stats)
-    conjugator = _naive_walk(cx.base, cy.base)
-    stats.sc_size = len(conjugator)
-    stats.contract_calls += x.ctx.ops.calls - start_calls
-    c = conjugator.get(cy.base)
-    if c is None:
-        return ConjugacyResult(False, None, stats)
-    return ConjugacyResult(True, cx.conjugator * c * cy.conjugator.inverse(), stats)
+    with _counted(x.ctx) as stats:
+        cx, cy = circuit_of(x, stats), circuit_of(y, stats)
+        conjugator = _naive_walk(cx.base, cy.base)
+        stats.sc_size = len(conjugator)
+        c = conjugator.get(cy.base)
+        witness = None
+        if c is not None:
+            witness = cx.conjugator * c * cy.conjugator.inverse()
+    return ConjugacyResult(c is not None, witness, stats)

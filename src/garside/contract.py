@@ -34,14 +34,13 @@ Simple = Hashable
 
 @dataclasses.dataclass(frozen=True)
 class Atom:
-    """One atom of the structure: a 1-based index and a short display name.
+    """One atom of the structure, given by its 1-based index.
 
     The index order is total, fixed for the lifetime of the context, and is
     the tie-breaking order used by every deterministic atom scan.
     """
 
     index: int
-    name: str
 
 
 @dataclasses.dataclass
@@ -50,7 +49,7 @@ class OpCounter:
 
     One unit is charged per required-operation call (atom division) and
     per invocation of a native fast-path override; an override that
-    answers from a memo is charged like one that computes.  The count is
+    answers from a cache is charged like one that computes.  The count is
     the abstract cost unit reported in run statistics; it makes no
     wall-clock claim.  Updates are not synchronized: under concurrent use
     the count is approximate.

@@ -108,11 +108,11 @@ class Element:
 
     Equality compares the Δ power and the factor sequence (normal forms
     are unique).  The right normal form, the hash and the preferred
-    prefix/suffix are cached on first use; the caches are idempotent, so
-    a data race at worst recomputes the same value.
+    prefix are cached on first use; the caches are idempotent, so a data
+    race at worst recomputes the same value.
     """
 
-    __slots__ = ("ctx", "p", "factors", "_hash", "_right", "_pref", "_suff")
+    __slots__ = ("ctx", "p", "factors", "_hash", "_right", "_pref")
 
     def __init__(self, ctx: GarsideContext, p: int, factors: tuple[Simple, ...]):
         self.ctx = ctx
@@ -121,7 +121,6 @@ class Element:
         self._hash = None
         self._right = None
         self._pref = None
-        self._suff = None
 
     @classmethod
     def _make(cls, ctx, p, factors) -> "Element":
@@ -268,15 +267,13 @@ class Element:
         return self.mul_simple(s).lmul_simple_inverse(s)
 
     def conjugated(self, c: "Element") -> "Element":
-        """c⁻¹·x·c; incremental path when c is a Δ power times one simple."""
+        """c⁻¹·x·c for c = Δ^p·c₁⋯c_r: the Δ^p shift, then conjugation by
+        each factor in turn."""
         require_same_context(self.ctx, c.ctx)
-        if len(c.factors) <= 1:
-            out = self.tau(c.p) if c.p else self
-            if c.factors:
-                out = out.conjugated_by_simple(c.factors[0])
-            return out
-        # general route: concatenate and renormalize
-        return (c.inverse() * self) * c
+        out = self.tau(c.p) if c.p else self
+        for s in c.factors:
+            out = out.conjugated_by_simple(s)
+        return out
 
     def tau(self, k: int = 1) -> "Element":
         """Conjugate by Δ^k, applied factorwise."""

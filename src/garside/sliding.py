@@ -32,15 +32,12 @@ def preferred_prefix(x: Element) -> Simple:
 
 
 def preferred_suffix(x: Element) -> Simple:
-    """Mirror of the preferred prefix for the suffix order."""
-    s = x._suff
-    if s is None:
-        ctx = x.ctx
-        s = ctx.rgcd_simple(
-            x.right_initial_factor(), ctx.left_complement(x.right_final_factor())
-        )
-        x._suff = s
-    return s
+    """Mirror of the preferred prefix for the suffix order; not cached, since
+    its one caller asks it of a freshly built conjugate."""
+    ctx = x.ctx
+    return ctx.rgcd_simple(
+        x.right_initial_factor(), ctx.left_complement(x.right_final_factor())
+    )
 
 
 def cyclic_sliding(x: Element) -> Element:

@@ -242,22 +242,22 @@ def test_same_elements_solve_alike():
     assert second.witness == first.witness
 
 
-def test_full_memo_is_cleared():
+def test_full_memo_is_bounded():
     ctx = g.braid_context(6)
     simples = enumerate_simples(ctx)
     pairs = list(itertools.islice(itertools.product(simples, repeat=2), MEMO_LIMIT + 500))
     first = []
     for s, t in pairs:
         first.append(ctx.local_sliding(s, t))
-        assert len(ctx._slidings) <= MEMO_LIMIT
-    assert len(ctx._slidings) < len(pairs)
+        assert ctx._slidings.cache_info().currsize <= MEMO_LIMIT
+    assert ctx._slidings.cache_info().currsize < len(pairs)
     for k in range(0, len(pairs), 97):
         assert ctx.local_sliding(*pairs[k]) == first[k]
         assert first[k] == SimpleLatticeOps.local_sliding(ctx, *pairs[k])
 
 
 def test_memo_shared_between_threads(monkeypatch):
-    # a small bound makes the threads clear the memo under each other
+    # a small bound makes the threads evict entries under each other
     monkeypatch.setattr(garside.braid, "MEMO_LIMIT", 50)
     ctx = g.braid_context(5)
     rng = random.Random(8)
@@ -270,7 +270,7 @@ def test_memo_shared_between_threads(monkeypatch):
             i = (k + shift) % len(pairs)
             if ctx.local_sliding(*pairs[i]) != expected[i]:
                 wrong.append(i)
-            if len(ctx._slidings) > 50 + 8:
+            if ctx._slidings.cache_info().currsize > 50 + 8:
                 wrong.append("bound")
 
     interval = sys.getswitchinterval()
@@ -285,3 +285,27 @@ def test_memo_shared_between_threads(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert wrong == []
+
+
+def test_hot_entry_survives_full_memo(monkeypatch):
+    # a full memo evicts its least recently used entry, so a pair looked up
+    # every tenth call stays cached while 500 others stream past
+    monkeypatch.setattr(garside.braid, "MEMO_LIMIT", 50)
+    kernel = garside.braid._local_sliding
+    runs = []
+
+    def counted(s, t):
+        runs.append((s, t))
+        return kernel(s, t)
+
+    monkeypatch.setattr(garside.braid, "_local_sliding", counted)
+    ctx = g.braid_context(5)
+    simples = enumerate_simples(ctx)
+    hot = (simples[7], simples[11])
+    others = [pair for pair in itertools.product(simples, repeat=2) if pair != hot][:500]
+    expected = kernel(*hot)
+    for k, pair in enumerate(others):
+        if k % 10 == 0:
+            assert ctx.local_sliding(*hot) == expected
+        ctx.local_sliding(*pair)
+    assert runs.count(hot) == 1

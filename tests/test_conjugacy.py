@@ -406,6 +406,17 @@ def test_naive_solve_refuses_oversized(b3):
         naive_solve(x, x)
 
 
+def test_stats_count_the_whole_call(b4):
+    # the window closes after the witness is built, for every entry point
+    x = g.element_from_word(b4, g.parse_word("1 2 3"))
+    y = x.conjugated(g.element_from_word(b4, g.parse_word("2 -1 3 3")))
+    for call in (lambda: solve_conjugacy(x, y), lambda: naive_solve(x, y),
+                 lambda: enumerate_sc(x)):
+        before = b4.ops.calls
+        stats = call().stats
+        assert stats.contract_calls == b4.ops.calls - before
+
+
 def test_stats_are_populated(b4, rng):
     x = random_element(b4, rng, 6)
     y = x.conjugated(random_element(b4, rng, 4))

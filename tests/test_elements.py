@@ -124,6 +124,20 @@ def test_conjugation_routes_agree(b4, rng):
             assert x.conjugated_by_simple(s.factors[0]) == x.conjugated(s)
 
 
+def test_conjugation_by_multi_factor_elements(b4, b5, rng):
+    # the factorwise route against the product formula it replaced
+    checked = 0
+    for ctx in (b4, b5):
+        for k in (-2, -1, 0, 1, 2):
+            for _ in range(20):
+                x = random_element(ctx, rng, rng.randint(0, 8))
+                c = random_element(ctx, rng, 10).mul_delta_power(k)
+                if len(c.factors) >= 2:
+                    assert x.conjugated(c) == (c.inverse() * x) * c
+                    checked += 1
+    assert checked >= 150
+
+
 def test_inf_sup_len(b3):
     assert (g.identity_element(b3).inf, g.identity_element(b3).sup) == (0, 0)
     for k in (-3, -1, 0, 2, 5):
