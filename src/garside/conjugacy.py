@@ -1,19 +1,22 @@
 """Conjugacy decision and search via sliding circuits.
 
-The solver follows the staged plan: reach a sliding circuit by iterated
-cyclic sliding while keeping a short conjugator; walk the graph whose
-vertices are sliding circuits breadth first, computing the outgoing
-indecomposable conjugators once per circuit (at its first-found element)
-by combining a minimal summit conjugator with iterated pullbacks and
-transports along the circuit; stop when the target is met or the
-component is exhausted.  The other elements of a circuit are reached by
-cyclic sliding itself.  Iterated transports and pullbacks end in a
-repetition because both maps send a positive divisor of Δ^k to another
-one (transport preserves the prefix order and fixes Δ^k, and the
-pullback of s is minimal among the elements whose transport s divides,
-Δ^k among them), so their orbits stay in a finite set; every value is
-checked against that bound.  A brute-force solver that conjugates by every
-simple element is kept as a desk-scale reference oracle.
+The solver follows the staged plan: reach a sliding circuit from each
+input by iterated cyclic sliding while keeping a short conjugator; answer
+"not conjugate" at once if the two circuits differ in (inf, sup), which
+are constant on the super summit set that holds every sliding circuit;
+otherwise walk the graph whose vertices are sliding circuits breadth first
+from both circuits, computing the outgoing indecomposable conjugators once
+per circuit (at its first-found element) by combining a minimal summit
+conjugator with iterated pullbacks and transports along the circuit; stop
+when the two walks meet or either one has reached its whole component.
+The other elements of a circuit are reached by cyclic sliding itself.
+Iterated transports and pullbacks end in a repetition because both maps
+send a positive divisor of Δ^k to another one (transport preserves the
+prefix order and fixes Δ^k, and the pullback of s is minimal among the
+elements whose transport s divides, Δ^k among them), so their orbits stay
+in a finite set; every value is checked against that bound.  A
+brute-force solver that conjugates by every simple element is kept as a
+desk-scale reference oracle.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 from collections import deque
-from typing import Iterator
+from typing import Container, Iterable, Iterator
 
 from .contract import GarsideContext, Simple, require_same_context
 from .elements import Element, atom_element, identity_element
@@ -44,10 +47,11 @@ class RunStats:
     ``trajectory_entry`` is the largest pre-periodic trajectory length
     seen, ``circuit_period`` the largest sliding-circuit length, ``r_max``
     the largest number of whole-circuit transports applied until a value
-    repeated, ``sc_size`` counts the elements of the circuits explored,
-    and ``contract_calls`` is how far the context's basic-operation
-    counter advanced during the run.  These are observations; no loop is
-    bounded by them.
+    repeated, ``sc_size`` the elements the walks hold when the run ends
+    (both walks together for :func:`solve_conjugacy`, 0 when its summit
+    test decides), and ``contract_calls`` is how far the context's
+    basic-operation counter advanced during the run.  These are
+    observations; no loop is bounded by them.
     """
 
     trajectory_entry: int = 0
@@ -208,14 +212,17 @@ def arrows_at(
     return tuple(arrows)
 
 
-@dataclasses.dataclass(frozen=True)
 class SCGraph:
-    """The graph of sliding-circuit conjugates with its spanning tree.
+    """The graph of sliding-circuit conjugates with its spanning tree, walked
+    breadth first from a root circuit and advanced one circuit at a time.
 
     The graph's vertices are sliding circuits; ``vertices`` lists their
-    elements circuit by circuit in breadth-first order, and together they
-    are the whole invariant set reachable from the root.  Arrows start at
-    the first-found element of each circuit and carry simple labels with
+    elements circuit by circuit in breadth-first order, and ``index`` maps
+    each to its position.  Each newly reached element brings in its whole
+    circuit, and arrows are computed once per circuit, at that element,
+    when :meth:`expand` takes the circuit off the ``frontier``; once the
+    frontier is empty, the vertices are the whole invariant set of the
+    root.  Arrows carry simple labels with
     ``vertices[src]^label == vertices[dst]``.  ``parents[i]`` holds the
     spanning-tree edge ``(parent index, label)`` that reached vertex i
     (None at the root): the arrow that reached the first element of a
@@ -224,11 +231,14 @@ class SCGraph:
     the root are reconstructed on demand instead of being stored.
     """
 
-    vertices: tuple[Element, ...]
-    arrows: tuple[tuple[int, int, Simple], ...]
-    parents: tuple[tuple[int, Simple] | None, ...]
-    stats: RunStats
-    index: dict[Element, int] = dataclasses.field(repr=False, compare=False)
+    def __init__(self, root: Circuit, stats: RunStats):
+        self.stats = stats
+        self.vertices: list[Element] = []
+        self.arrows: list[tuple[int, int, Simple]] = []
+        self.parents: list[tuple[int, Simple] | None] = []
+        self.index: dict[Element, int] = {}
+        self.frontier: deque[tuple[int, Circuit]] = deque()
+        self._add(root, None)
 
     @property
     def root(self) -> Element:
@@ -249,6 +259,37 @@ class SCGraph:
             c = c.mul_simple(label)
         return c
 
+    def _add(self, circuit: Circuit, edge: tuple[int, Simple] | None) -> int:
+        first = len(self.vertices)
+        for k, v in enumerate(circuit.elements):
+            self.index[v] = first + k
+            self.vertices.append(v)
+            self.parents.append(edge)
+            edge = (first + k, preferred_prefix(v))
+        self.frontier.append((first, circuit))
+        return first
+
+    def expand(self, other: Container[Element] = frozenset()) -> Element | None:
+        """Compute the arrows of the oldest circuit on the frontier and add
+        the circuits they reach.  Stops at the first added element that
+        ``other`` holds, and returns it; returns None if there is none."""
+        vid, circuit = self.frontier.popleft()
+        v = self.vertices[vid]
+        for label in arrows_at(circuit, self.stats):
+            w = v.conjugated_by_simple(label)
+            wid = self.index.get(w)
+            if wid is not None:
+                self.arrows.append((vid, wid, label))
+                continue
+            reached = circuit_of(w, self.stats)
+            if not reached.conjugator.is_identity:
+                raise InternalInvariantError("an arrow left the sliding circuits")
+            self.arrows.append((vid, self._add(reached, (vid, label)), label))
+            shared = _first_shared(reached.elements, other)
+            if shared is not None:
+                return shared
+        return None
+
 
 @dataclasses.dataclass(frozen=True)
 class ConjugacyResult:
@@ -257,73 +298,58 @@ class ConjugacyResult:
     stats: RunStats
 
 
-def _explore(
-    root: Circuit, stats: RunStats, target: Element | None = None
-) -> SCGraph:
-    """Breadth-first walk of the sliding-circuit graph from the root circuit.
+def _first_shared(
+    elements: Iterable[Element], other: Container[Element]
+) -> Element | None:
+    return next((v for v in elements if v in other), None)
 
-    Each newly reached element brings in its whole circuit, and arrows are
-    computed once per circuit, at that element.  The walk stops as soon as
-    ``target`` is a vertex; otherwise the whole component is enumerated.
-    """
-    index: dict[Element, int] = {}
-    vertices: list[Element] = []
-    parents: list[tuple[int, Simple] | None] = []
-    arrows: list[tuple[int, int, Simple]] = []
-    frontier: deque[tuple[int, Circuit]] = deque()
 
-    def add_circuit(circuit: Circuit, edge: tuple[int, Simple] | None) -> int:
-        first = len(vertices)
-        for k, v in enumerate(circuit.elements):
-            index[v] = first + k
-            vertices.append(v)
-            parents.append(edge)
-            edge = (first + k, preferred_prefix(v))
-        frontier.append((first, circuit))
-        return first
-
-    add_circuit(root, None)
-    while frontier and target not in index:
-        vid, circuit = frontier.popleft()
-        v = vertices[vid]
-        for label in arrows_at(circuit, stats):
-            w = v.conjugated_by_simple(label)
-            wid = index.get(w)
-            if wid is None:
-                reached = circuit_of(w, stats)
-                if not reached.conjugator.is_identity:
-                    raise InternalInvariantError("an arrow left the sliding circuits")
-                wid = add_circuit(reached, (vid, label))
-            arrows.append((vid, wid, label))
-            if target in index:
-                break
-    stats.sc_size = len(vertices)
-    return SCGraph(tuple(vertices), tuple(arrows), tuple(parents), stats, index)
+def _meeting(wx: SCGraph, wy: SCGraph) -> Element | None:
+    """Advance the two walks until one reaches an element the other holds,
+    expanding the side with the smaller frontier at each step; return that
+    element, or None once either walk has run out."""
+    v = _first_shared(wy.vertices, wx.index)
+    while v is None and wx.frontier and wy.frontier:
+        walk, other = (wx, wy) if len(wx.frontier) <= len(wy.frontier) else (wy, wx)
+        v = walk.expand(other.index)
+    return v
 
 
 def enumerate_sc(x: Element) -> SCGraph:
     """The full graph of sliding-circuit conjugates of x."""
     with _counted(x.ctx) as stats:
-        return _explore(circuit_of(x, stats), stats)
+        graph = SCGraph(circuit_of(x, stats), stats)
+        while graph.frontier:
+            graph.expand()
+        stats.sc_size = len(graph.vertices)
+        return graph
 
 
 def solve_conjugacy(x: Element, y: Element) -> ConjugacyResult:
     """Decide conjugacy of x and y; on success return a verified conjugator.
 
-    Explores the sliding-circuit conjugates of x breadth first until the
-    slid form of y turns up, so a positive answer stops the search early;
-    a negative answer means the whole invariant set was enumerated.
+    Both inputs are slid to their sliding circuits, whose elements are
+    super summit.  If the slid forms x̃ and ỹ differ in (inf, sup), the
+    inputs are not conjugate and no graph is walked.  Otherwise one walk
+    starts from x̃ and one from ỹ, and the one with the smaller frontier
+    is advanced by a circuit at a time until they share an element v.
+    Then x̃^a = v = ỹ^b, with a and b read off the two spanning trees.  A
+    walk that runs out has reached the whole invariant set of its input
+    without meeting the other side, so the inputs are not conjugate.
     """
     require_same_context(x.ctx, y.ctx)
     with _counted(x.ctx) as stats:
         cx, cy = circuit_of(x, stats), circuit_of(y, stats)
-        graph = _explore(cx, stats, target=cy.base)
-        vid = graph.index_of(cy.base)
         witness = None
-        if vid is not None:
-            c = graph.conjugator_from_root(vid)
-            witness = cx.conjugator * c * cy.conjugator.inverse()
-    return ConjugacyResult(vid is not None, witness, stats)
+        if (cx.base.p, cx.base.sup) == (cy.base.p, cy.base.sup):
+            wx, wy = SCGraph(cx, stats), SCGraph(cy, stats)
+            v = _meeting(wx, wy)
+            stats.sc_size = len(wx.vertices) + len(wy.vertices)
+            if v is not None:
+                a = wx.conjugator_from_root(wx.index[v])
+                b = wy.conjugator_from_root(wy.index[v])
+                witness = cx.conjugator * a * b.inverse() * cy.conjugator.inverse()
+    return ConjugacyResult(witness is not None, witness, stats)
 
 
 # -- brute-force reference solver ------------------------------------------

@@ -237,7 +237,7 @@ def test_same_elements_solve_alike():
     # second solve of the same objects cheaper
     x, y = _b5_pair(g.braid_context(5))
     first, second = _solve(x, y), _solve(x, y)
-    assert first.stats.contract_calls == 351
+    assert first.stats.contract_calls == 352
     assert second.stats == first.stats
     assert second.witness == first.witness
 

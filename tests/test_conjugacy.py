@@ -1,6 +1,7 @@
 """Circuits, arrows, the graph search solvers and the brute-force reference."""
 
 import itertools
+import random
 
 import pytest
 
@@ -427,3 +428,104 @@ def test_stats_are_populated(b4, rng):
     assert stats.circuit_period >= 1
     assert stats.trajectory_entry >= 0
     assert stats.as_dict()["N"] == stats.circuit_period
+
+
+def _word(ctx, letters):
+    return g.element_from_word(ctx, g.BraidWord(0, tuple(letters)))
+
+
+def _letters(ctx, rng, length):
+    return [rng.choice(range(1, ctx.n)) * rng.choice((1, -1)) for _ in range(length)]
+
+
+def _nonconj_draw(ctx, rng, ell):
+    """A pair drawn like the ``nonconj`` benchmark items: x has 3ℓ letters
+    and canonical length ℓ; y negates one letter of x, inserts s_j^{±2}
+    (same exponent sum and permutation) and is conjugated by 8 letters."""
+    while True:
+        x = _letters(ctx, rng, 3 * ell)
+        if _word(ctx, x).canonical_length == ell:
+            break
+    z = list(x)
+    k = rng.randrange(len(z))
+    e = 1 if z[k] > 0 else -1
+    z[k] = -z[k]
+    j = rng.randrange(1, ctx.n)
+    at = rng.randrange(len(z) + 1)
+    z[at:at] = [j * e, j * e]
+    w = _letters(ctx, rng, 8)
+    return _word(ctx, x), _word(ctx, [-a for a in reversed(w)] + z + w)
+
+
+def test_walks_run_out_on_summit_equal_pairs(b4):
+    # pairs the summit test passes on but that are not conjugate: the
+    # answer comes from a walk that ran out, and must match the reference
+    rng = random.Random(11)
+    exhausted = 0
+    for _ in range(1000):
+        x, y = _nonconj_draw(b4, rng, rng.choice((3, 4)))
+        cx, cy = circuit_of(x), circuit_of(y)
+        if (cx.base.inf, cx.base.sup) != (cy.base.inf, cy.base.sup):
+            continue
+        res = solve_conjugacy(x, y)
+        if res.conjugate:
+            assert x.conjugated(res.witness) == y
+            continue
+        assert not naive_solve(x, y).conjugate
+        assert res.stats.sc_size > 0
+        exhausted += 1
+        if exhausted == 40:
+            break
+    assert exhausted == 40
+
+
+def test_summit_test_rejects_without_graph_work(b4, monkeypatch):
+    # slid forms that differ in (inf, sup) are answered with no arrows
+    x = _word(b4, [1, 2, 3])
+    y = _word(b4, [1, 2, -3])
+    windows = []
+    for z in (x, y):
+        before = b4.ops.calls
+        circuit_of(z)
+        windows.append(b4.ops.calls - before)
+
+    def no_arrows(circuit, stats=None):
+        raise AssertionError("arrows_at called")
+
+    monkeypatch.setattr(garside.conjugacy, "arrows_at", no_arrows)
+    res = solve_conjugacy(x, y)
+    assert (res.conjugate, res.witness) == (False, None)
+    assert res.stats.sc_size == 0
+    assert res.stats.contract_calls == sum(windows)
+
+
+#: ROADMAP heavy-tail instances (n, words of x and y), regenerated from
+#: (n, l, seed) = (10, 12, 3) and (16, 6, 5) as ``bench/workloads.py``
+#: does.  A walk from x alone spends 1.2M and 2.9M contract calls on them.
+HEAVY_TAIL = [
+    pytest.param(
+        10,
+        "-3 -3 -3 1 -2 -6 -5 6 -9 3 5 -1 1 3 -2 8 -6 -3 -5 1 6 -3 2 1 -9 4 -5 1 "
+        "-5 -5 -5 6 -9 -8 9 6",
+        "4 9 -5 2 -2 1 6 -3 -3 -3 -3 1 -2 -6 -5 6 -9 3 5 -1 1 3 -2 8 -6 -3 -5 1 "
+        "6 -3 2 1 -9 4 -5 1 -5 -5 -5 6 -9 -8 9 6 3 -6 -1 2 -2 5 -9 -4",
+        id="b10-l12-seed3",
+    ),
+    pytest.param(
+        16,
+        "4 3 -5 4 3 -15 5 -6 3 5 -6 14 -10 -2 -6 -8 -3 8",
+        "-12 -8 -10 6 1 14 1 1 4 3 -5 4 3 -15 5 -6 3 5 -6 14 -10 -2 -6 -8 -3 8 "
+        "-1 -1 -14 -1 -6 10 8 12",
+        id="b16-l6-seed5",
+    ),
+]
+
+
+@pytest.mark.parametrize("n, x_word, y_word", HEAVY_TAIL)
+def test_heavy_tail_meets_in_the_middle(n, x_word, y_word):
+    ctx = g.braid_context(n)
+    x = g.element_from_word(ctx, g.parse_word(x_word))
+    y = g.element_from_word(ctx, g.parse_word(y_word))
+    res = solve_conjugacy(x, y)
+    assert res.conjugate and x.conjugated(res.witness) == y
+    assert res.stats.contract_calls <= 100_000
