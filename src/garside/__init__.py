@@ -17,11 +17,10 @@ from .braid import (
     parse_word,
     word_from_element,
 )
-from .contract import Atom, GarsideContext, OpCounter, Simple
+from .contract import Atom, GarsideContext, RunStats, Simple
 from .conjugacy import (
     Circuit,
     ConjugacyResult,
-    RunStats,
     SCGraph,
     arrows_at,
     circuit_of,

@@ -32,7 +32,7 @@ import dataclasses
 import functools
 import re
 
-from .contract import Atom, GarsideContext, Simple
+from .contract import Atom, GarsideContext, Simple, current_run
 from .elements import Element, normalize
 from .errors import ContextMismatchError, GarsideError
 
@@ -194,8 +194,8 @@ class BraidContext(GarsideContext):
 
     # -- native fast paths ----------------------------------------------------
     # Only the derived operations on the solver's path are overridden.  Each
-    # override charges one counter unit, on a cache hit as on a miss, and
-    # answers through a per-context, least-recently-used cache of a
+    # override charges one unit to the current run, on a cache hit as on a
+    # miss, and answers through a per-context, least-recently-used cache of a
     # permutation-table kernel; the generic routines in SimpleLatticeOps
     # serve every other derived operation and remain the reference for these.
 
@@ -206,33 +206,33 @@ class BraidContext(GarsideContext):
         return tuple(s)
 
     def right_complement(self, s):
-        self.ops.calls += 1
+        current_run().contract_calls += 1
         return self._right_complements(s)
 
     def left_complement(self, s):
-        self.ops.calls += 1
+        current_run().contract_calls += 1
         return self._left_complements(s)
 
     def tau_power(self, s, k: int):
-        self.ops.calls += 1
+        current_run().contract_calls += 1
         if k % 2 == 0:
             return s
         return self._taus(s)
 
     def gcd_simple(self, s, t):
-        self.ops.calls += 1
+        current_run().contract_calls += 1
         return self._gcds(s, t)
 
     def rgcd_simple(self, s, t):
-        self.ops.calls += 1
+        current_run().contract_calls += 1
         return self._rgcds(s, t)
 
     def local_sliding(self, s, t):
-        self.ops.calls += 1
+        current_run().contract_calls += 1
         return self._slidings(s, t)
 
     def local_right_sliding(self, s, t):
-        self.ops.calls += 1
+        current_run().contract_calls += 1
         return self._right_slidings(s, t)
 
 

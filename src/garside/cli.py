@@ -28,13 +28,12 @@ from .braid import (
 )
 from .conjugacy import (
     ConjugacyResult,
-    RunStats,
-    _counted,
     circuit_of,
     enumerate_sc,
     naive_solve,
     solve_conjugacy,
 )
+from .contract import RunStats, counted
 from .elements import Element, simple_element
 from .errors import GarsideError, InternalInvariantError, OracleSizeError
 from .sliding import cyclic_sliding
@@ -69,8 +68,8 @@ def _slide(args, x: Element) -> Reply:
 
 
 def _circuit(args, x: Element) -> Reply:
-    with _counted(x.ctx) as stats:
-        circuit = circuit_of(x, stats)
+    with counted() as stats:
+        circuit = circuit_of(x)
     elements = [word_from_element(v) for v in circuit.elements]
     conjugator = word_from_element(circuit.conjugator)
     result = {"period": circuit.period, "elements": elements, "conjugator": conjugator}

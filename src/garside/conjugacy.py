@@ -21,12 +21,18 @@ desk-scale reference oracle.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 from collections import deque
-from typing import Container, Iterable, Iterator
+from typing import Container, Iterable
 
-from .contract import GarsideContext, Simple, require_same_context
+from .contract import (
+    GarsideContext,
+    RunStats,
+    Simple,
+    counted,
+    current_run,
+    require_same_context,
+)
 from .elements import Element, atom_element, identity_element
 from .errors import InternalInvariantError, OracleSizeError
 from .sliding import (
@@ -38,46 +44,6 @@ from .sliding import (
     slide_to_first_repetition,
     transport,
 )
-
-
-@dataclasses.dataclass
-class RunStats:
-    """Observed instrumentation counters for one solver run.
-
-    ``trajectory_entry`` is the largest pre-periodic trajectory length
-    seen, ``circuit_period`` the largest sliding-circuit length, ``r_max``
-    the largest number of whole-circuit transports applied until a value
-    repeated, ``sc_size`` the elements the walks hold when the run ends
-    (both walks together for :func:`solve_conjugacy`, 0 when its summit
-    test decides), and ``contract_calls`` is how far the context's
-    basic-operation counter advanced during the run.  These are
-    observations; no loop is bounded by them.
-    """
-
-    trajectory_entry: int = 0
-    circuit_period: int = 0
-    r_max: int = 0
-    sc_size: int = 0
-    contract_calls: int = 0
-
-    def as_dict(self) -> dict:
-        return {
-            "T": self.trajectory_entry,
-            "N": self.circuit_period,
-            "R_max": self.r_max,
-            "sc_size": self.sc_size,
-            "contract_calls": self.contract_calls,
-        }
-
-
-@contextlib.contextmanager
-def _counted(ctx: GarsideContext) -> Iterator[RunStats]:
-    """Fresh stats whose ``contract_calls`` is how far the context's counter
-    advances over the with-block."""
-    stats = RunStats()
-    start_calls = ctx.ops.calls
-    yield stats
-    stats.contract_calls = ctx.ops.calls - start_calls
 
 
 @dataclasses.dataclass(frozen=True)
@@ -97,16 +63,17 @@ class Circuit:
         return len(self.elements)
 
 
-def circuit_of(x: Element, stats: RunStats | None = None) -> Circuit:
+def circuit_of(x: Element) -> Circuit:
     """Slide x to its sliding circuit; the conjugator is the product of the
     preferred prefixes along the pre-periodic part of the trajectory only.
+    The trajectory's entry index and period are recorded in the current run.
 
     An uncached copy of x is slid, so that what earlier calls cached on x
     cannot lower the ``contract_calls`` of this one."""
     traj = slide_to_first_repetition(Element(x.ctx, x.p, x.factors))
-    if stats is not None:
-        stats.trajectory_entry = max(stats.trajectory_entry, traj.entry_index)
-        stats.circuit_period = max(stats.circuit_period, traj.period)
+    stats = current_run()
+    stats.trajectory_entry = max(stats.trajectory_entry, traj.entry_index)
+    stats.circuit_period = max(stats.circuit_period, traj.period)
     c = identity_element(x.ctx)
     for v in traj.elements[:traj.entry_index]:
         c = c.mul_simple(preferred_prefix(v))
@@ -128,17 +95,16 @@ def _transport_once_around(circuit: Circuit, u: Element) -> Element:
     return u
 
 
-def transport_cycle(
-    circuit: Circuit, u: Element, stats: RunStats | None = None
-) -> Trajectory:
+def transport_cycle(circuit: Circuit, u: Element) -> Trajectory:
     """Transport u around the circuit until a value repeats.
 
     The cycle of the result holds the transports that are fixed by some
     transport power, i.e. the conjugators landing back in a sliding circuit.
+    The number of transports applied is recorded in the current run.
     """
     cycle = _first_repetition(lambda cur: _transport_once_around(circuit, cur), u)
-    if stats is not None:
-        stats.r_max = max(stats.r_max, len(cycle.elements))
+    stats = current_run()
+    stats.r_max = max(stats.r_max, len(cycle.elements))
     return cycle
 
 
@@ -171,9 +137,7 @@ def _atom_divides(ctx: GarsideContext, a, x: Element) -> bool:
     return ctx.divide_atom_left(a, x.factors[0]) is not None
 
 
-def arrows_at(
-    circuit: Circuit, stats: RunStats | None = None
-) -> tuple[Simple, ...]:
+def arrows_at(circuit: Circuit) -> tuple[Simple, ...]:
     """Labels of the outgoing indecomposable conjugators at the circuit base.
 
     For each atom in index order: grow the atom into the minimal
@@ -201,7 +165,7 @@ def arrows_at(
         _divisor_of_delta_power(s, 1, "summit conjugator of an atom")
         if ctx.divide_atom_left(atom, prefix_v) is not None:
             s = iterated_pullback_to_repetition(circuit, s)
-        for candidate in transport_cycle(circuit, s, stats).circuit_elements:
+        for candidate in transport_cycle(circuit, s).circuit_elements:
             if not _atom_divides(ctx, atom, candidate):
                 continue
             blockers = accepted + list(ctx.atoms[t:])
@@ -244,9 +208,6 @@ class SCGraph:
     def root(self) -> Element:
         return self.vertices[0]
 
-    def index_of(self, v: Element) -> int | None:
-        return self.index.get(v)
-
     def conjugator_from_root(self, vertex_id: int) -> Element:
         """Product of spanning-tree labels from the root to the vertex."""
         labels: list[Simple] = []
@@ -275,13 +236,13 @@ class SCGraph:
         ``other`` holds, and returns it; returns None if there is none."""
         vid, circuit = self.frontier.popleft()
         v = self.vertices[vid]
-        for label in arrows_at(circuit, self.stats):
+        for label in arrows_at(circuit):
             w = v.conjugated_by_simple(label)
             wid = self.index.get(w)
             if wid is not None:
                 self.arrows.append((vid, wid, label))
                 continue
-            reached = circuit_of(w, self.stats)
+            reached = circuit_of(w)
             if not reached.conjugator.is_identity:
                 raise InternalInvariantError("an arrow left the sliding circuits")
             self.arrows.append((vid, self._add(reached, (vid, label)), label))
@@ -317,8 +278,8 @@ def _meeting(wx: SCGraph, wy: SCGraph) -> Element | None:
 
 def enumerate_sc(x: Element) -> SCGraph:
     """The full graph of sliding-circuit conjugates of x."""
-    with _counted(x.ctx) as stats:
-        graph = SCGraph(circuit_of(x, stats), stats)
+    with counted() as stats:
+        graph = SCGraph(circuit_of(x), stats)
         while graph.frontier:
             graph.expand()
         stats.sc_size = len(graph.vertices)
@@ -338,8 +299,8 @@ def solve_conjugacy(x: Element, y: Element) -> ConjugacyResult:
     without meeting the other side, so the inputs are not conjugate.
     """
     require_same_context(x.ctx, y.ctx)
-    with _counted(x.ctx) as stats:
-        cx, cy = circuit_of(x, stats), circuit_of(y, stats)
+    with counted() as stats:
+        cx, cy = circuit_of(x), circuit_of(y)
         witness = None
         if (cx.base.p, cx.base.sup) == (cy.base.p, cy.base.sup):
             wx, wy = SCGraph(cx, stats), SCGraph(cy, stats)
@@ -405,8 +366,8 @@ def _naive_walk(
 def naive_solve(x: Element, y: Element) -> ConjugacyResult:
     """Reference solver over the brute-force invariant set (desk scale only)."""
     require_same_context(x.ctx, y.ctx)
-    with _counted(x.ctx) as stats:
-        cx, cy = circuit_of(x, stats), circuit_of(y, stats)
+    with counted() as stats:
+        cx, cy = circuit_of(x), circuit_of(y)
         conjugator = _naive_walk(cx.base, cy.base)
         stats.sc_size = len(conjugator)
         c = conjugator.get(cy.base)

@@ -12,18 +12,20 @@ element, and equal values hash equally.  The rest of the package relies
 on this canonicality and uses plain ``==``/``hash`` everywhere; the
 tests cross-check it against a stripping-based equality.
 
-Contexts are algebraically immutable after construction (the attached
-operation counter is instrumentation, not algebraic state); a context may
-keep idempotent memo caches, so a race at worst recomputes a value.  They
-can be shared freely between threads; all operations are pure functions
-of their inputs.
+Contexts are immutable after construction; a context may keep idempotent
+memo caches, so a race at worst recomputes a value.  They can be shared
+freely between threads; all operations are pure functions of their
+inputs.  Work is charged to the current run (see :func:`counted`), not to
+the context, so runs that share a context each get an exact count.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import dataclasses
 from abc import ABC, abstractmethod
-from typing import Hashable, Sequence
+from typing import Hashable, Iterator, Sequence
 
 from .errors import ContextMismatchError, GarsideError, InternalInvariantError
 from .simples import SimpleLatticeOps
@@ -44,18 +46,55 @@ class Atom:
 
 
 @dataclasses.dataclass
-class OpCounter:
-    """Counter for basic operations performed through a context.
+class RunStats:
+    """Observed instrumentation counters for one solver run.
 
-    One unit is charged per required-operation call (atom division) and
-    per invocation of a native fast-path override; an override that
-    answers from a cache is charged like one that computes.  The count is
-    the abstract cost unit reported in run statistics; it makes no
-    wall-clock claim.  Updates are not synchronized: under concurrent use
-    the count is approximate.
+    ``trajectory_entry`` is the largest pre-periodic trajectory length
+    seen, ``circuit_period`` the largest sliding-circuit length, ``r_max``
+    the largest number of whole-circuit transports applied until a value
+    repeated, ``sc_size`` the elements the walks hold when the run ends
+    (both walks together for :func:`~garside.conjugacy.solve_conjugacy`,
+    0 when its summit test decides), and ``contract_calls`` the basic
+    operations charged to the run: one per atom division and one per call
+    of a native fast path, cached or not.  These are observations; no loop
+    is bounded by them.
     """
 
-    calls: int = 0
+    trajectory_entry: int = 0
+    circuit_period: int = 0
+    r_max: int = 0
+    sc_size: int = 0
+    contract_calls: int = 0
+
+    def as_dict(self) -> dict:
+        return {
+            "T": self.trajectory_entry,
+            "N": self.circuit_period,
+            "R_max": self.r_max,
+            "sc_size": self.sc_size,
+            "contract_calls": self.contract_calls,
+        }
+
+
+#: The stats of the current run; outside every run, a sink nothing reads.
+RUN: contextvars.ContextVar[RunStats] = contextvars.ContextVar("run", default=RunStats())
+
+#: The current run's stats; bound once, as the charge sites are hot.
+current_run = RUN.get
+
+
+@contextlib.contextmanager
+def counted() -> Iterator[RunStats]:
+    """Run the with-block as a run of its own with fresh stats; on exit,
+    raising or not, the enclosing run is current again and is charged the
+    block's calls too."""
+    stats = RunStats()
+    token = RUN.set(stats)
+    try:
+        yield stats
+    finally:
+        RUN.reset(token)
+        current_run().contract_calls += stats.contract_calls
 
 
 class GarsideContext(SimpleLatticeOps, ABC):
@@ -64,7 +103,8 @@ class GarsideContext(SimpleLatticeOps, ABC):
     Subclasses implement :meth:`_divide_atom_left` and
     :meth:`_divide_atom_right`, and may override any derived operation from
     :class:`~garside.simples.SimpleLatticeOps` with a native fast path.
-    Overrides must charge ``self.ops.calls += 1`` per invocation.
+    An override charges one unit per invocation to the current run, with
+    ``current_run().contract_calls += 1``.
     """
 
     def __init__(self, atoms: Sequence[Atom], identity: Simple, delta: Simple):
@@ -76,19 +116,18 @@ class GarsideContext(SimpleLatticeOps, ABC):
             raise GarsideError("atom indices must be 1..n in order")
         self.identity = identity
         self.delta = delta
-        self.ops = OpCounter()
         self.delta_norm = self._measure_delta()
 
-    # -- required operations (template methods charge the counter) -------
+    # -- required operations (template methods charge the current run) ---
 
     def divide_atom_left(self, a: Atom, s: Simple) -> Simple | None:
         """a⁻¹·s if the atom a left-divides the simple s, else None."""
-        self.ops.calls += 1
+        current_run().contract_calls += 1
         return self._divide_atom_left(a, s)
 
     def divide_atom_right(self, s: Simple, a: Atom) -> Simple | None:
         """s·a⁻¹ if the atom a right-divides the simple s, else None."""
-        self.ops.calls += 1
+        current_run().contract_calls += 1
         return self._divide_atom_right(s, a)
 
     @abstractmethod

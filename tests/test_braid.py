@@ -9,6 +9,7 @@ import pytest
 
 import garside as g
 import garside.braid
+import garside.conjugacy
 from garside.braid import (
     MEMO_LIMIT,
     WordParseError,
@@ -17,8 +18,8 @@ from garside.braid import (
     word_from_element,
 )
 from garside.conjugacy import enumerate_simples
-from garside.contract import GarsideContext
-from garside.errors import GarsideError, OracleSizeError
+from garside.contract import GarsideContext, counted, current_run
+from garside.errors import GarsideError, InternalInvariantError, OracleSizeError
 from garside.simples import SimpleLatticeOps
 
 import reference as ref
@@ -59,8 +60,9 @@ def test_delta_norm_is_counted_not_stripped():
         assert g.braid_context(n).delta_norm == GarsideContext._measure_delta(
             g.braid_context(n)
         )
-    ctx = g.braid_context(800)
-    assert (ctx.delta_norm, ctx.ops.calls) == (319600, 0)
+    with counted() as run:
+        ctx = g.braid_context(800)
+    assert (ctx.delta_norm, run.contract_calls) == (319600, 0)
 
 
 def _reduced_words(n, max_len):
@@ -205,9 +207,9 @@ def test_memo_hits_are_charged_like_misses():
     s, t = (1, 0, 3, 4, 2), (4, 2, 0, 1, 3)
     for name, arguments in MEMOIZED:
         for _ in range(3):
-            before = ctx.ops.calls
-            getattr(ctx, name)(*arguments(s, t))
-            assert ctx.ops.calls == before + 1, name
+            with counted() as run:
+                getattr(ctx, name)(*arguments(s, t))
+            assert run.contract_calls == 1, name
 
 
 def _b5_pair(ctx):
@@ -240,6 +242,58 @@ def test_same_elements_solve_alike():
     assert first.stats.contract_calls == 352
     assert second.stats == first.stats
     assert second.witness == first.witness
+
+
+def test_threads_sharing_a_context_count_their_own_runs():
+    # two threads solve different pairs on one context at the same time;
+    # each solve reports the count it has when run alone
+    ctx = g.braid_context(5)
+    pairs = [
+        lambda: _b5_pair(ctx),
+        lambda: tuple(
+            g.element_from_word(ctx, parse_word(w)) for w in ("1 2 -3 4 2", "-4 1 2 -3 4 2 4")
+        ),
+    ]
+    alone = [_solve(*pair()).stats.contract_calls for pair in pairs]
+    counts = [[], []]
+    barrier = threading.Barrier(2)
+
+    def work(k):
+        x, y = pairs[k]()
+        barrier.wait()
+        for _ in range(10):
+            counts[k].append(g.solve_conjugacy(x, y).stats.contract_calls)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert counts == [[alone[0]] * 10, [alone[1]] * 10]
+
+
+def test_raising_run_restores_the_enclosing_run(monkeypatch):
+    x, y = _b5_pair(g.braid_context(5))
+    seen = []
+
+    def failing(circuit):
+        seen.append(current_run().contract_calls)
+        raise InternalInvariantError("injected")
+
+    monkeypatch.setattr(garside.conjugacy, "arrows_at", failing)
+    with counted() as outer:
+        with pytest.raises(InternalInvariantError):
+            g.solve_conjugacy(x, y)
+        assert current_run() is outer
+    assert outer.contract_calls == seen[0] > 0
+    monkeypatch.undo()
+    assert _solve(x, y).stats.contract_calls == 352
 
 
 def test_full_memo_is_bounded():

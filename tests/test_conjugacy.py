@@ -18,6 +18,7 @@ from garside.conjugacy import (
     solve_conjugacy,
     transport_cycle,
 )
+from garside.contract import counted
 from garside.elements import positive_part
 from garside.errors import InternalInvariantError, OracleSizeError
 from garside.sliding import (
@@ -73,8 +74,8 @@ def test_circuit_of_from_transient_point(b4, rng):
         if traj.entry_index == 0:
             continue
         transient += 1
-        stats = g.RunStats()
-        circuit = circuit_of(x, stats)
+        with counted() as stats:
+            circuit = circuit_of(x)
         assert circuit.elements == traj.circuit_elements
         assert x.conjugated(circuit.conjugator) == circuit.elements[0]
         assert not circuit.conjugator.is_identity
@@ -353,8 +354,8 @@ def test_enumerate_sc_structure(b4, rng):
         # spanning tree reaches every vertex with a verifying conjugator
         for i, v in enumerate(graph.vertices):
             assert graph.root.conjugated(graph.conjugator_from_root(i)) == v
-            assert graph.index_of(v) == i
-        assert graph.index_of(g.delta_power_element(b4, 99)) is None
+            assert graph.index.get(v) == i
+        assert graph.index.get(g.delta_power_element(b4, 99)) is None
         assert graph.stats.sc_size == len(vertices)
 
 
@@ -362,9 +363,9 @@ def _count_arrows_at(monkeypatch):
     """Record the circuit passed to each arrows_at call of the solvers."""
     calls = []
 
-    def counting(circuit, stats=None):
+    def counting(circuit):
         calls.append(frozenset(circuit.elements))
-        return arrows_at(circuit, stats)
+        return arrows_at(circuit)
 
     monkeypatch.setattr(garside.conjugacy, "arrows_at", counting)
     return calls
@@ -413,9 +414,9 @@ def test_stats_count_the_whole_call(b4):
     y = x.conjugated(g.element_from_word(b4, g.parse_word("2 -1 3 3")))
     for call in (lambda: solve_conjugacy(x, y), lambda: naive_solve(x, y),
                  lambda: enumerate_sc(x)):
-        before = b4.ops.calls
-        stats = call().stats
-        assert stats.contract_calls == b4.ops.calls - before
+        with counted() as window:
+            stats = call().stats
+        assert stats.contract_calls == window.contract_calls
 
 
 def test_stats_are_populated(b4, rng):
@@ -485,11 +486,11 @@ def test_summit_test_rejects_without_graph_work(b4, monkeypatch):
     y = _word(b4, [1, 2, -3])
     windows = []
     for z in (x, y):
-        before = b4.ops.calls
-        circuit_of(z)
-        windows.append(b4.ops.calls - before)
+        with counted() as window:
+            circuit_of(z)
+        windows.append(window.contract_calls)
 
-    def no_arrows(circuit, stats=None):
+    def no_arrows(circuit):
         raise AssertionError("arrows_at called")
 
     monkeypatch.setattr(garside.conjugacy, "arrows_at", no_arrows)

@@ -7,6 +7,7 @@ import pytest
 
 import garside as g
 from garside.conjugacy import enumerate_simples
+from garside.contract import counted
 from garside.errors import ContextMismatchError
 from garside.simples import SimpleLatticeOps
 
@@ -31,7 +32,7 @@ def test_public_surface_is_pinned():
     assert g.__all__ == [
         "Atom", "BraidContext", "BraidWord", "Circuit", "ConjugacyResult",
         "ContextMismatchError", "Element", "GarsideContext", "GarsideError",
-        "InternalInvariantError", "OpCounter", "OracleSizeError", "RunStats",
+        "InternalInvariantError", "OracleSizeError", "RunStats",
         "SCGraph", "Simple", "Trajectory", "WordParseError", "arrows_at",
         "atom_element", "braid_context", "circuit_of", "cyclic_sliding",
         "delta_power_element", "element_from_word", "enumerate_sc",
@@ -136,9 +137,9 @@ def test_element_context_mismatch(b3, b4):
 
 
 def test_counter_counts_required_ops(b3):
-    before = b3.ops.calls
-    b3.divide_atom_left(b3.atoms[0], DELTA3)
-    assert b3.ops.calls == before + 1
+    with counted() as run:
+        b3.divide_atom_left(b3.atoms[0], DELTA3)
+    assert run.contract_calls == 1
 
 
 def test_bare_context_runs_whole_stack(b3):
