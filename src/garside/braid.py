@@ -214,6 +214,8 @@ class BraidContext(GarsideContext):
         return self._left_complements(s)
 
     def tau_power(self, s, k: int):
+        if k == 0:
+            return s
         current_run().contract_calls += 1
         if k % 2 == 0:
             return s

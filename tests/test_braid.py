@@ -212,6 +212,15 @@ def test_memo_hits_are_charged_like_misses():
             assert run.contract_calls == 1, name
 
 
+def test_tau_zero_is_free():
+    # τ⁰ is the identity; the generic route charges nothing for it either
+    ctx = g.braid_context(5)
+    s = (1, 0, 3, 4, 2)
+    with counted() as run:
+        assert ctx.tau_power(s, 0) == s == SimpleLatticeOps.tau_power(ctx, s, 0)
+    assert run.contract_calls == 0
+
+
 def _b5_pair(ctx):
     # a conjugate B5 pair that needs arrows
     x = g.element_from_word(ctx, parse_word("1 2 -3 4 4 2 1"))
@@ -239,7 +248,7 @@ def test_same_elements_solve_alike():
     # second solve of the same objects cheaper
     x, y = _b5_pair(g.braid_context(5))
     first, second = _solve(x, y), _solve(x, y)
-    assert first.stats.contract_calls == 352
+    assert first.stats.contract_calls == 335
     assert second.stats == first.stats
     assert second.witness == first.witness
 
@@ -293,7 +302,7 @@ def test_raising_run_restores_the_enclosing_run(monkeypatch):
         assert current_run() is outer
     assert outer.contract_calls == seen[0] > 0
     monkeypatch.undo()
-    assert _solve(x, y).stats.contract_calls == 352
+    assert _solve(x, y).stats.contract_calls == 335
 
 
 def test_full_memo_is_bounded():

@@ -45,7 +45,7 @@ GOLDEN = [
         ["conj", "-n", "4", "1 2 3", "2 3 1"],
         0,
         '{"input": ["1 2 3", "2 3 1"], "n": 4, "result": "conjugate", "seed": null, '
-        '"stats": {"N": 1, "R_max": 1, "T": 1, "contract_calls": 169, "sc_size": 3}, '
+        '"stats": {"N": 1, "R_max": 1, "T": 1, "contract_calls": 126, "sc_size": 3}, '
         '"witness": "D^0 (1 2 1 3)"}\n',
         id="conj-b4-conjugate",
     ),
@@ -53,7 +53,7 @@ GOLDEN = [
         ["conj", "-n", "5", "1 2 -3 4 2", "-4 1 2 -3 4 2 4"],
         0,
         '{"input": ["1 2 -3 4 2", "-4 1 2 -3 4 2 4"], "n": 5, "result": "conjugate", '
-        '"seed": null, "stats": {"N": 1, "R_max": 0, "T": 1, "contract_calls": 34, '
+        '"seed": null, "stats": {"N": 1, "R_max": 0, "T": 1, "contract_calls": 32, '
         '"sc_size": 2}, "witness": "D^0 (4)"}\n',
         id="conj-b5-one-circuit",
     ),
@@ -73,7 +73,7 @@ GOLDEN = [
         1,
         '{"input": ["-2 2 1 1 1 -1 -3 1 -1", "-2 -3 -2 3 -3 -2 -2 2 -2 2 2 2 1 1 -1 -1 '
         '-3 1 -1 -2 2 2 3 -3 2 3 2"], "n": 4, "result": "not-conjugate", "seed": null, '
-        '"stats": {"N": 2, "R_max": 1, "T": 0, "contract_calls": 276, "sc_size": 4}, '
+        '"stats": {"N": 2, "R_max": 1, "T": 0, "contract_calls": 262, "sc_size": 4}, '
         '"witness": null}\n',
         id="conj-b4-summit-equal-not-conjugate",
     ),
@@ -84,7 +84,7 @@ GOLDEN = [
         '{"label": "D^0 (1 3)", "source": 0, "target": 1}, '
         '{"label": "D^0 (2)", "source": 1, "target": 0}], '
         '"vertices": ["D^0 (1 3 2)", "D^0 (2 1 3)"]}, "seed": null, '
-        '"stats": {"N": 1, "R_max": 2, "T": 1, "contract_calls": 326, "sc_size": 2}, '
+        '"stats": {"N": 1, "R_max": 2, "T": 1, "contract_calls": 252, "sc_size": 2}, '
         '"witness": null}\n',
         id="scg-b4",
     ),
@@ -148,7 +148,7 @@ TEXT = [
     pytest.param(
         ["stats", "-n", "4", "1 2 3"],
         0,
-        "N 1\nR_max 2\nT 1\ncontract_calls 326\nsc_size 2\n",
+        "N 1\nR_max 2\nT 1\ncontract_calls 252\nsc_size 2\n",
         id="stats",
     ),
     pytest.param(
@@ -341,4 +341,4 @@ def test_seeded_corpus_digest(capsys):
     # answers, witnesses and contract_calls of 80 calls, pinned as one digest
     rows = [[argv, *run(capsys, *argv)[:2]] for argv in _corpus(random.Random(5))]
     digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
-    assert digest == "a4251d6d014d4cfc1e6d31e8810468a273d6504b34c8babf7a4873ba651d7d16"
+    assert digest == "6da55600688210d6bf112fa29852f47ff6236166399c31011bddd9f5bdce7918"
