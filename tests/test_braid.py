@@ -257,11 +257,10 @@ def test_threads_sharing_a_context_count_their_own_runs():
     # two threads solve different pairs on one context at the same time;
     # each solve reports the count it has when run alone
     ctx = g.braid_context(5)
+    words = ("1 2 -3 4 2", "-4 1 2 -3 4 2 4")  # a conjugate pair within one circuit
     pairs = [
         lambda: _b5_pair(ctx),
-        lambda: tuple(
-            g.element_from_word(ctx, parse_word(w)) for w in ("1 2 -3 4 2", "-4 1 2 -3 4 2 4")
-        ),
+        lambda: tuple(g.element_from_word(ctx, parse_word(w)) for w in words),
     ]
     alone = [_solve(*pair()).stats.contract_calls for pair in pairs]
     counts = [[], []]
@@ -288,6 +287,7 @@ def test_threads_sharing_a_context_count_their_own_runs():
 
 
 def test_raising_run_restores_the_enclosing_run(monkeypatch):
+    # a solve that raises still hands its calls to the run around it
     x, y = _b5_pair(g.braid_context(5))
     seen = []
 
