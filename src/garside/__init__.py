@@ -4,6 +4,10 @@ The package is generic over a :class:`~garside.contract.GarsideContext`
 describing a structure by its atoms and atom-division operations; the
 Artin braid groups are provided as the concrete instance
 (:func:`~garside.braid.braid_context`).
+
+The package exports what a user calls; solver internals (transports,
+pullbacks, arrows, element constructors, the brute-force reference) are
+imported from their modules.
 """
 
 from types import ModuleType as _ModuleType
@@ -22,24 +26,11 @@ from .conjugacy import (
     Circuit,
     ConjugacyResult,
     SCGraph,
-    arrows_at,
     circuit_of,
     enumerate_sc,
-    iterated_pullback_to_repetition,
-    naive_solve,
     solve_conjugacy,
-    transport_cycle,
 )
-from .elements import (
-    Element,
-    atom_element,
-    delta_power_element,
-    identity_element,
-    lcm_elements,
-    normalize,
-    positive_part,
-    simple_element,
-)
+from .elements import Element, normalize
 from .errors import (
     ContextMismatchError,
     GarsideError,
@@ -49,12 +40,8 @@ from .errors import (
 from .sliding import (
     Trajectory,
     cyclic_sliding,
-    minimal_sss_conjugator,
     preferred_prefix,
-    preferred_suffix,
-    pullback_step,
     slide_to_first_repetition,
-    transport,
 )
 
 __version__ = "0.1.0"

@@ -26,13 +26,7 @@ from .braid import (
     parse_word,
     word_from_element,
 )
-from .conjugacy import (
-    ConjugacyResult,
-    circuit_of,
-    enumerate_sc,
-    naive_solve,
-    solve_conjugacy,
-)
+from .conjugacy import circuit_of, enumerate_sc, naive_solve, solve_conjugacy
 from .contract import RunStats, counted
 from .elements import Element, simple_element
 from .errors import GarsideError, InternalInvariantError, OracleSizeError
@@ -61,6 +55,8 @@ def _nf(args, x: Element) -> Reply:
 
 
 def _slide(args, x: Element) -> Reply:
+    if args.steps < 0:
+        raise GarsideError(f"--steps must be at least 0, got {args.steps}")
     for _ in range(args.steps):
         x = cyclic_sliding(x)
     word = word_from_element(x)
@@ -102,22 +98,18 @@ def _scg(args, x: Element) -> Reply:
     return Reply(result, lines, graph.stats)
 
 
-def _solve_checked(x: Element, y: Element, oracle: bool) -> ConjugacyResult:
-    """Solve and verify the witness.  With ``oracle``, also run the
+def _conj(args, x: Element, y: Element) -> Reply:
+    """Solve and verify the witness.  With ``--oracle``, also run the
     brute-force reference, require its verdict and verify its witness."""
     outcomes = [solve_conjugacy(x, y)]
-    if oracle:
+    if args.oracle:
         outcomes.append(naive_solve(x, y))
     if outcomes[-1].conjugate != outcomes[0].conjugate:
         raise InternalInvariantError("solver and brute-force reference disagree")
     for o in outcomes:
         if o.conjugate and x.conjugated(o.witness) != y:
             raise InternalInvariantError("conjugacy witness failed verification")
-    return outcomes[0]
-
-
-def _conj(args, x: Element, y: Element) -> Reply:
-    outcome = _solve_checked(x, y, args.oracle)
+    outcome = outcomes[0]
     if outcome.conjugate:
         witness = word_from_element(outcome.witness)
         return Reply("conjugate", ["conjugate", witness], outcome.stats, witness)
@@ -129,12 +121,6 @@ def _stats(args, x: Element) -> Reply:
     stats = enumerate_sc(x).stats
     lines = [f"{key} {value}" for key, value in sorted(stats.as_dict().items())]
     return Reply("ok", lines, stats)
-
-
-def _oracle_check(args, x: Element, y: Element) -> Reply:
-    outcome = _solve_checked(x, y, oracle=True)
-    result = "agree:" + ("conjugate" if outcome.conjugate else "not-conjugate")
-    return Reply(result, [result], outcome.stats)
 
 
 #: name, help, word arguments, handler, and options only that subcommand takes
@@ -152,8 +138,6 @@ COMMANDS = (
          help="cross-check against the brute-force reference (desk scale)",
      )}),
     ("stats", "instrumentation counters for one input", ("word",), _stats, {}),
-    ("oracle-check", "run solver and brute-force reference, compare",
-     ("word_x", "word_y"), _oracle_check, {}),
 )
 
 

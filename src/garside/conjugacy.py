@@ -119,12 +119,10 @@ def _pullback_once_around(circuit: Circuit, s: Element) -> Element:
     return s
 
 
-def iterated_pullback_to_repetition(circuit: Circuit, s: Element) -> Element:
-    """Whole-circuit pullbacks of s until a value repeats; that value is returned."""
-    return _pullback_orbit(circuit, s).circuit_elements[0]
+def iterated_pullback_to_repetition(circuit: Circuit, s: Element) -> Trajectory:
+    """Pull s back around the circuit until a value repeats.
 
-
-def _pullback_orbit(circuit: Circuit, s: Element) -> Trajectory:
+    The first element of the result's cycle is the first repeated value."""
     return _first_repetition(lambda cur: _pullback_once_around(circuit, cur), s)
 
 
@@ -164,7 +162,7 @@ def arrows_at(circuit: Circuit) -> tuple[Simple, ...]:
             s = atom_element(ctx, atom)
         _divisor_of_delta_power(s, 1, "summit conjugator of an atom")
         if ctx.divide_atom_left(atom, prefix_v) is not None:
-            s = iterated_pullback_to_repetition(circuit, s)
+            s = iterated_pullback_to_repetition(circuit, s).circuit_elements[0]
         for candidate in transport_cycle(circuit, s).circuit_elements:
             if not _atom_divides(ctx, atom, candidate):
                 continue

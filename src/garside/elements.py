@@ -217,7 +217,7 @@ class Element:
         require_same_context(self.ctx, other.ctx)
         ctx = self.ctx
         q = other.p
-        fs = [ctx.tau_power(f, q) for f in self.factors]
+        fs = [ctx.tau_power(f, q) for f in self.factors] if q else list(self.factors)
         p = self.p + q
         for s in other.factors:
             p = _append(ctx, p, fs, s)

@@ -11,11 +11,11 @@ import time
 
 import garside as g
 from garside.conjugacy import (
-    _pullback_orbit,
     arrows_at,
     circuit_of,
     enumerate_sc,
     enumerate_simples,
+    iterated_pullback_to_repetition,
     naive_solve,
     solve_conjugacy,
     transport_cycle,
@@ -28,7 +28,7 @@ from garside.sliding import (
     slide_to_first_repetition,
     transport,
 )
-from garside.elements import positive_part
+from garside.elements import positive_part, simple_element
 
 import reference as ref
 from conftest import eval_word, random_element
@@ -81,7 +81,7 @@ def test_criterion_1_worked_example_regression():
 
     # (d) iterated six-fold pullbacks of s stabilize at the stated value
     circuit = circuit_of(y)
-    orbit = _pullback_orbit(circuit, s)
+    orbit = iterated_pullback_to_repetition(circuit, s)
     assert (orbit.entry_index, len(orbit.elements)) == (1, 2)
     p = g.normalize(b5, [eval_word(5, [3]), eval_word(5, [4])])
     assert orbit.elements[1] == p
@@ -200,8 +200,8 @@ def test_criterion_5_sliding_transport_properties():
             assert cyclic_sliding(x.tau(1)) == cyclic_sliding(x).tau(1)
             alpha = random_element(ctx, rng, rng.randint(0, 5))
             t = transport(x, alpha)
-            lhs = g.simple_element(ctx, preferred_prefix(x)) * t
-            rhs = alpha * g.simple_element(ctx, preferred_prefix(x.conjugated(alpha)))
+            lhs = simple_element(ctx, preferred_prefix(x)) * t
+            rhs = alpha * simple_element(ctx, preferred_prefix(x.conjugated(alpha)))
             assert lhs == rhs
         for _ in range(60):
             z = slide_to_first_repetition(

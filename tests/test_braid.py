@@ -19,6 +19,7 @@ from garside.braid import (
 )
 from garside.conjugacy import enumerate_simples
 from garside.contract import GarsideContext, counted, current_run
+from garside.elements import delta_power_element, identity_element, simple_element
 from garside.errors import GarsideError, InternalInvariantError, OracleSizeError
 from garside.simples import SimpleLatticeOps
 
@@ -38,7 +39,7 @@ def test_two_strand_group(b2):
 def test_three_strand_delta(b3):
     assert b3.delta == (2, 1, 0)
     assert b3.delta_norm == 3
-    assert g.element_from_word(b3, parse_word("1 2 1")) == g.delta_power_element(b3, 1)
+    assert g.element_from_word(b3, parse_word("1 2 1")) == delta_power_element(b3, 1)
 
 
 def test_simple_counts():
@@ -106,7 +107,7 @@ def test_divisibility_poset_b3(b3):
         name: {
             names[d]
             for d in order
-            if ref.left_divides(g.simple_element(b3, d), g.simple_element(b3, s))
+            if ref.left_divides(simple_element(b3, d), simple_element(b3, s))
         }
         for s, name in ((s, names[s]) for s in order)
     }
@@ -164,8 +165,8 @@ def test_simple_words_evaluate_back(b5, rng):
 def test_output_format(b3):
     x = g.element_from_word(b3, parse_word("1 2 1 1"))
     assert word_from_element(x) == "D^1 (1)"
-    assert word_from_element(g.identity_element(b3)) == "D^0"
-    assert word_from_element(g.delta_power_element(b3, -2)) == "D^-2"
+    assert word_from_element(identity_element(b3)) == "D^0"
+    assert word_from_element(delta_power_element(b3, -2)) == "D^-2"
 
 
 # -- memoized overrides ----------------------------------------------------

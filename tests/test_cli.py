@@ -152,10 +152,10 @@ TEXT = [
         id="stats",
     ),
     pytest.param(
-        ["oracle-check", "-n", "4", "1 2 3", "1 2 -3"],
-        0,
-        "agree:not-conjugate\n",
-        id="oracle-check",
+        ["conj", "-n", "4", "1 2 3", "1 2 -3", "--oracle"],
+        1,
+        "not-conjugate\n",
+        id="conj-oracle",
     ),
 ]
 
@@ -173,8 +173,10 @@ def test_text_output(capsys, argv, exit_code, stdout):
          "parse error: unrecognized token 'x' (at position 2)\n"),
         (["conj", "-n", "4", "1 2", "2 9"],
          "parse error: letter 9 needs at least 10 strands\n"),
+        (["slide", "-n", "3", "1 2", "--steps", "-3"],
+         "error: --steps must be at least 0, got -3\n"),
     ],
-    ids=["one-strand", "conj-second-word", "conj-second-word-range"],
+    ids=["one-strand", "conj-second-word", "conj-second-word-range", "negative-steps"],
 )
 def test_usage_errors(capsys, argv, stderr):
     assert run(capsys, *argv, "--json") == (2, "", stderr)
@@ -188,7 +190,6 @@ USAGE = {
     "scg": "[-h] -n N [--json] [--seed SEED] [--dot] word",
     "conj": "[-h] -n N [--json] [--seed SEED] [--oracle] word_x word_y",
     "stats": "[-h] -n N [--json] [--seed SEED] word",
-    "oracle-check": "[-h] -n N [--json] [--seed SEED] word_x word_y",
 }
 
 
@@ -206,7 +207,7 @@ def test_help(capsys, monkeypatch):
             usage = helps[command].splitlines()[0]
             assert usage == f"usage: garside {command} {USAGE[command]}"
     digest = hashlib.sha256(json.dumps(helps, sort_keys=True).encode()).hexdigest()
-    assert digest == "a97a5bb0a34ce5b903eb2ad84f2664f4c5964b8619cc59a5167dbc9a755560c1"
+    assert digest == "1c8eccfd4b98dd34845597f299be063476bbd44930a547a14a4c5a9968ee3001"
 
 
 def test_conj_exit_codes_and_witness(capsys):
@@ -238,6 +239,10 @@ def test_invariant_violation_exits_3(capsys, monkeypatch):
 def test_conj_oracle_flag(capsys):
     code, out, _ = run(capsys, "conj", "-n", "3", "1", "2", "--oracle")
     assert code == 0
+    code, out, _ = run(capsys, "conj", "-n", "3", "1 2", "2 1", "--oracle")
+    assert code == 0 and out.splitlines()[0] == "conjugate"
+    code, out, _ = run(capsys, "conj", "-n", "3", "1", "-1", "--oracle")
+    assert code == 1 and out == "not-conjugate\n"
     code, _, err = run(capsys, "conj", "-n", "7", "1", "2", "--oracle")
     assert code == 2 and "refused" in err
 
@@ -289,13 +294,6 @@ def test_scg_dot_matches_json(capsys):
     edge_lines = [l for l in lines if "->" in l]
     assert len(node_lines) == len(vertices)
     assert len(edge_lines) == len(arrows)
-
-
-def test_oracle_check(capsys):
-    code, out, _ = run(capsys, "oracle-check", "-n", "3", "1 2", "2 1")
-    assert code == 0 and out.strip() == "agree:conjugate"
-    code, out, _ = run(capsys, "oracle-check", "-n", "3", "1", "-1")
-    assert code == 0 and out.strip() == "agree:not-conjugate"
 
 
 def test_parser_is_built_once():

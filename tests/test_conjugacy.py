@@ -8,7 +8,6 @@ import pytest
 import garside as g
 import garside.conjugacy
 from garside.conjugacy import (
-    _pullback_orbit,
     arrows_at,
     circuit_of,
     enumerate_sc,
@@ -19,7 +18,12 @@ from garside.conjugacy import (
     transport_cycle,
 )
 from garside.contract import counted
-from garside.elements import positive_part
+from garside.elements import (
+    delta_power_element,
+    identity_element,
+    positive_part,
+    simple_element,
+)
 from garside.errors import InternalInvariantError, OracleSizeError
 from garside.sliding import (
     minimal_sss_conjugator,
@@ -49,7 +53,7 @@ def test_slide_to_circuit_examples(b3, b5):
     circuit = circuit_of(x)
     assert circuit.base == x and circuit.conjugator.is_identity
 
-    x = g.simple_element(b3, S1S2)
+    x = simple_element(b3, S1S2)
     circuit = circuit_of(x)
     assert circuit.base == x and circuit.conjugator.is_identity
 
@@ -87,8 +91,8 @@ def test_circuit_of_from_transient_point(b4, rng):
 
 def test_transport_cycle_trivial(b3):
     x = g.normalize(b3, [S1, S1])
-    cycle = transport_cycle(circuit_of(x), g.identity_element(b3))
-    assert set(cycle.circuit_elements) == {g.identity_element(b3)}
+    cycle = transport_cycle(circuit_of(x), identity_element(b3))
+    assert set(cycle.circuit_elements) == {identity_element(b3)}
     assert cycle.period == 1
 
 
@@ -105,16 +109,15 @@ def test_transport_cycle_examples_b5(b5):
     assert (cycle.entry_index, len(cycle.elements)) == (1, 2)
     # the transports of s collapse to the identity
     cycle_s = transport_cycle(circuit, s)
-    assert set(cycle_s.circuit_elements) == {g.identity_element(b5)}
+    assert set(cycle_s.circuit_elements) == {identity_element(b5)}
 
 
 def test_iterated_pullback_examples(b5):
     y, s = _b5_example(b5)
     circuit = circuit_of(y)
-    assert iterated_pullback_to_repetition(
-        circuit, g.identity_element(b5)
-    ).is_identity
-    orbit = _pullback_orbit(circuit, s)
+    orbit = iterated_pullback_to_repetition(circuit, identity_element(b5))
+    assert orbit.circuit_elements[0].is_identity
+    orbit = iterated_pullback_to_repetition(circuit, s)
     assert (orbit.entry_index, len(orbit.elements)) == (1, 2)
     assert orbit.elements[1] == g.normalize(b5, [eval_word(5, [3]), eval_word(5, [4])])
 
@@ -134,8 +137,8 @@ def test_transport_cycle_fixed_set_facts(b4, rng):
         for w in cycle.elements:  # positive divisors of Δ^sup(u)
             assert w.is_positive and w.sup <= u.sup
         fixed = set(cycle.circuit_elements)
-        if g.identity_element(b4) in fixed:
-            assert fixed == {g.identity_element(b4)}
+        if identity_element(b4) in fixed:
+            assert fixed == {identity_element(b4)}
         assert (u in fixed) == (v.conjugated(u) in sc)
         for w in fixed:
             assert v.conjugated(w) in sc
@@ -156,12 +159,13 @@ def test_pullback_value_is_brute_force_minimal_b5(b5):
         w = y.conjugated_by_simple(u)
         if (w.inf, w.sup) != (y.inf, y.sup):
             return False
-        t = _transport_once_around(circuit, g.simple_element(b5, u))
+        t = _transport_once_around(circuit, simple_element(b5, u))
         return left_divides(s, t)
 
     best = brute_minimal_simple(b5, simples, valid)
     assert best == eval_word(5, [3, 4])
-    assert iterated_pullback_to_repetition(circuit, s) == g.simple_element(b5, best)
+    orbit = iterated_pullback_to_repetition(circuit, s)
+    assert orbit.circuit_elements[0] == simple_element(b5, best)
 
 
 def test_iterated_pullback_monotonic(b4, rng):
@@ -176,18 +180,18 @@ def test_iterated_pullback_monotonic(b4, rng):
         rho_t = t * minimal_sss_conjugator(v.conjugated(t), v.inf, v.sup)
         if not left_divides(rho_s, rho_t):
             continue
-        ps = iterated_pullback_to_repetition(circuit, rho_s)
-        pt = iterated_pullback_to_repetition(circuit, rho_t)
+        ps = iterated_pullback_to_repetition(circuit, rho_s).circuit_elements[0]
+        pt = iterated_pullback_to_repetition(circuit, rho_t).circuit_elements[0]
         assert left_divides(ps, pt)
         for seed in (rho_s, rho_t):  # positive divisors of Δ^sup(seed)
-            for w in _pullback_orbit(circuit, seed).elements:
+            for w in iterated_pullback_to_repetition(circuit, seed).elements:
                 assert w.is_positive and w.sup <= seed.sup
         done += 1
 
 
 @pytest.mark.parametrize("name, orbit, what", [
     ("transport", transport_cycle, "transport"),
-    ("pullback_step", _pullback_orbit, "pullback"),
+    ("pullback_step", iterated_pullback_to_repetition, "pullback"),
 ], ids=["transport", "pullback"])
 def test_divisor_bound_is_checked(b5, monkeypatch, name, orbit, what):
     # a value times Δ leaves the positive divisors of Δ^sup(seed); it is
@@ -256,7 +260,7 @@ def test_arrows_indecomposable_sampled_b4(b4, rng):
 
 
 def test_arrows_at_delta_and_rigid(b3):
-    delta = g.delta_power_element(b3, 1)
+    delta = delta_power_element(b3, 1)
     got = set(arrows_at(circuit_of(delta)))
     expected = _brute_arrows(b3, delta, naive_sc(delta), enumerate_simples(b3))
     assert got == expected == {b3.delta}
@@ -278,8 +282,8 @@ def test_arrow_example_b5(b5):
 
 
 def test_solve_conjugacy_basics(b3, b4, rng):
-    s1 = g.simple_element(b3, S1)
-    s2 = g.simple_element(b3, S2)
+    s1 = simple_element(b3, S1)
+    s2 = simple_element(b3, S2)
     res = solve_conjugacy(s1, s2)
     assert res.conjugate and s1.conjugated(res.witness) == s2
     assert not solve_conjugacy(s1, s1.inverse()).conjugate
@@ -323,12 +327,12 @@ def test_solver_exhaustive_positive_words_b3(b3):
 
 
 def test_enumerate_sc_examples(b3):
-    graph = enumerate_sc(g.delta_power_element(b3, 1))
-    assert set(graph.vertices) == {g.delta_power_element(b3, 1)}
-    graph = enumerate_sc(g.simple_element(b3, S1S2))
+    graph = enumerate_sc(delta_power_element(b3, 1))
+    assert set(graph.vertices) == {delta_power_element(b3, 1)}
+    graph = enumerate_sc(simple_element(b3, S1S2))
     assert set(graph.vertices) == {
-        g.simple_element(b3, S1S2),
-        g.simple_element(b3, S2S1),
+        simple_element(b3, S1S2),
+        simple_element(b3, S2S1),
     }
 
 
@@ -355,7 +359,7 @@ def test_enumerate_sc_structure(b4, rng):
         for i, v in enumerate(graph.vertices):
             assert graph.root.conjugated(graph.conjugator_from_root(i)) == v
             assert graph.index.get(v) == i
-        assert graph.index.get(g.delta_power_element(b4, 99)) is None
+        assert graph.index.get(delta_power_element(b4, 99)) is None
         assert graph.stats.sc_size == len(vertices)
 
 
@@ -403,7 +407,7 @@ def test_solve_within_one_circuit_needs_no_arrows(b5, monkeypatch):
 
 def test_naive_solve_refuses_oversized(b3):
     big = g.braid_context(7)
-    x = g.delta_power_element(big, 1)
+    x = delta_power_element(big, 1)
     with pytest.raises(OracleSizeError):
         naive_solve(x, x)
 

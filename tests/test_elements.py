@@ -7,7 +7,13 @@ import pytest
 import garside as g
 from garside.conjugacy import enumerate_simples
 from garside.contract import GarsideContext
-from garside.elements import lcm_elements, positive_part
+from garside.elements import (
+    delta_power_element,
+    identity_element,
+    lcm_elements,
+    positive_part,
+    simple_element,
+)
 from garside.errors import ContextMismatchError
 
 import reference as ref
@@ -60,7 +66,7 @@ def test_normalize_keeps_given_normal_form(b5):
 
 
 def test_invert_examples(b3):
-    assert g.identity_element(b3).inverse() == g.identity_element(b3)
+    assert identity_element(b3).inverse() == identity_element(b3)
     x = g.normalize(b3, [S1], delta_power=1)
     xi = x.inverse()
     assert (xi.p, xi.factors) == (-2, (S2S1,))
@@ -80,7 +86,7 @@ def test_invert_round_trip_b5(b5, rng):
 
 
 def test_multiply_and_group_axioms(b4, rng):
-    e = g.identity_element(b4)
+    e = identity_element(b4)
     for _ in range(150):
         x = random_element(b4, rng, rng.randint(0, 8))
         y = random_element(b4, rng, rng.randint(0, 8))
@@ -91,7 +97,7 @@ def test_multiply_and_group_axioms(b4, rng):
 
 
 def test_conjugation_by_delta_is_tau(b4, rng):
-    d = g.delta_power_element(b4, 1)
+    d = delta_power_element(b4, 1)
     for _ in range(80):
         x = random_element(b4, rng, rng.randint(0, 8))
         assert x.conjugated(d) == x.tau(1)
@@ -118,7 +124,7 @@ def test_conjugation_example_b5(b5):
 def test_conjugation_routes_agree(b4, rng):
     for _ in range(100):
         x = random_element(b4, rng, rng.randint(0, 6))
-        s = g.simple_element(b4, enumerate_simples(b4)[rng.randrange(24)])
+        s = simple_element(b4, enumerate_simples(b4)[rng.randrange(24)])
         assert x.conjugated(s) == s.inverse() * x * s
         if s.canonical_length == 1:
             assert x.conjugated_by_simple(s.factors[0]) == x.conjugated(s)
@@ -139,15 +145,15 @@ def test_conjugation_by_multi_factor_elements(b4, b5, rng):
 
 
 def test_inf_sup_len(b3):
-    assert (g.identity_element(b3).inf, g.identity_element(b3).sup) == (0, 0)
+    assert (identity_element(b3).inf, identity_element(b3).sup) == (0, 0)
     for k in (-3, -1, 0, 2, 5):
-        d = g.delta_power_element(b3, k)
+        d = delta_power_element(b3, k)
         assert (d.inf, d.sup, d.canonical_length) == (k, k, 0)
 
 
 def test_initial_final_factors(b3, b5, rng):
     for k in (-2, 0, 3):
-        d = g.delta_power_element(b3, k)
+        d = delta_power_element(b3, k)
         assert d.initial_factor() == b3.identity
         assert d.final_factor() == b3.delta
     x1 = eval_word(5, [2, 1, 4, 3, 4])
@@ -180,18 +186,18 @@ def test_right_normal_form(b5, rng):
 
 
 def test_element_gcd_examples(b3):
-    s1 = g.simple_element(b3, S1)
-    s2 = g.simple_element(b3, S2)
+    s1 = simple_element(b3, S1)
+    s2 = simple_element(b3, S2)
     assert gcd_elements(s1, s1) == s1
     assert gcd_elements(s1, s2).is_identity
-    assert lcm_elements(s1, s2) == g.delta_power_element(b3, 1)
-    assert lcm_elements(s1, g.identity_element(b3)) == s1
+    assert lcm_elements(s1, s2) == delta_power_element(b3, 1)
+    assert lcm_elements(s1, identity_element(b3)) == s1
 
 
 def test_element_gcd_universal_property(b3):
     # all positive elements of canonical length <= 2 as brute-force candidates
     simples = enumerate_simples(b3)
-    positives = {g.identity_element(b3)}
+    positives = {identity_element(b3)}
     for s, t in itertools.product(simples, repeat=2):
         positives.add(g.normalize(b3, [s, t]))
     positives = [p for p in positives if p.canonical_length <= 2 and p.p == 0]
@@ -208,7 +214,7 @@ def _lcm_by_suffix_gcd(a, b):
     """Reference lcm: Δ^m·rgcd(a⁻¹Δ^m, b⁻¹Δ^m)⁻¹ with m = max(sup a, sup b)."""
     m = max(a.sup, b.sup)
     d = rgcd_elements(a.inverse().mul_delta_power(m), b.inverse().mul_delta_power(m))
-    return g.delta_power_element(a.ctx, m) * d.inverse()
+    return delta_power_element(a.ctx, m) * d.inverse()
 
 
 def test_element_lcm_is_common_multiple(b4, rng):
@@ -235,7 +241,7 @@ def test_lcm_matches_suffix_gcd_formula(rng):
 
 def test_positive_prefix(b4, rng):
     # 1 ∨ x·Δ^-q for inf <= q <= sup: the leftmost sup - q right factors of x
-    identity = g.identity_element(b4)
+    identity = identity_element(b4)
     for _ in range(1000):
         x = random_element(b4, rng, rng.randint(0, 8))
         q = rng.randint(x.inf, x.sup)
@@ -251,7 +257,7 @@ def test_positive_part(b4, rng):
         p = positive_part(x)
         assert p.is_positive
         assert left_divides(x, p) or x == p
-        assert p == _lcm_by_suffix_gcd(g.identity_element(b4), x)
+        assert p == _lcm_by_suffix_gcd(identity_element(b4), x)
 
 
 def _reference_normal_form(ctx, p, parts):
@@ -348,7 +354,7 @@ def test_normal_form_invariant_under_defining_relations(b4, rng):
 def test_powers(b4, rng):
     for _ in range(40):
         x = random_element(b4, rng, rng.randint(0, 5))
-        assert ref.power(x, 0) == g.identity_element(b4)
+        assert ref.power(x, 0) == identity_element(b4)
         assert ref.power(x, 2) == x * x
         assert ref.power(x, -1) == x.inverse()
         assert ref.power(x, -3) == (x * x * x).inverse()

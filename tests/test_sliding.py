@@ -6,7 +6,12 @@ import pytest
 
 import garside as g
 from garside.conjugacy import enumerate_simples
-from garside.elements import positive_part
+from garside.elements import (
+    delta_power_element,
+    identity_element,
+    positive_part,
+    simple_element,
+)
 from garside.errors import GarsideError, InternalInvariantError
 from garside.sliding import (
     cyclic_sliding,
@@ -49,8 +54,8 @@ def _b5_example(b5):
 
 def test_preferred_prefix_examples(b3):
     for k in (-2, 0, 1):
-        assert preferred_prefix(g.delta_power_element(b3, k)) == b3.identity
-    assert preferred_prefix(g.simple_element(b3, S1S2)) == S1
+        assert preferred_prefix(delta_power_element(b3, k)) == b3.identity
+    assert preferred_prefix(simple_element(b3, S1S2)) == S1
     x = g.normalize(b3, [S1, S1])
     assert preferred_prefix(x) == b3.identity
     assert is_rigid(x)
@@ -58,10 +63,10 @@ def test_preferred_prefix_examples(b3):
 
 def test_preferred_prefix_matches_definition(b4, rng):
     # p(x) = (x Δ^{-inf}) ∧ (x⁻¹ Δ^{sup}) ∧ Δ, computed with element gcds
-    one_delta = g.delta_power_element(b4, 1)
+    one_delta = delta_power_element(b4, 1)
     for _ in range(150):
         x = random_element(b4, rng, rng.randint(0, 8))
-        lhs = g.simple_element(b4, preferred_prefix(x))
+        lhs = simple_element(b4, preferred_prefix(x))
         rhs = gcd_elements(
             gcd_elements(
                 x.mul_delta_power(-x.inf), x.inverse().mul_delta_power(x.sup)
@@ -72,14 +77,14 @@ def test_preferred_prefix_matches_definition(b4, rng):
 
 
 def test_preferred_suffix_matches_definition(b4, rng):
-    one_delta = g.delta_power_element(b4, 1)
+    one_delta = delta_power_element(b4, 1)
     for _ in range(150):
         x = random_element(b4, rng, rng.randint(0, 8))
-        lhs = g.simple_element(b4, preferred_suffix(x))
+        lhs = simple_element(b4, preferred_suffix(x))
         rhs = rgcd_elements(
             rgcd_elements(
                 x.mul_delta_power(-x.inf).tau(x.inf),
-                g.delta_power_element(b4, x.sup) * x.inverse(),
+                delta_power_element(b4, x.sup) * x.inverse(),
             ),
             one_delta,
         )
@@ -88,10 +93,10 @@ def test_preferred_suffix_matches_definition(b4, rng):
 
 def test_cyclic_sliding_examples(b3):
     for k in (-1, 0, 2):
-        d = g.delta_power_element(b3, k)
+        d = delta_power_element(b3, k)
         assert cyclic_sliding(d) == d
-    x = g.simple_element(b3, S1S2)
-    y = g.simple_element(b3, S2S1)
+    x = simple_element(b3, S1S2)
+    y = simple_element(b3, S2S1)
     assert cyclic_sliding(x) == y
     assert cyclic_sliding(y) == x
 
@@ -144,8 +149,8 @@ def test_sliding_reaches_summit_length(b3, b4, rng):
 def test_transport_of_own_prefix(b4, rng):
     for _ in range(100):
         x = random_element(b4, rng, rng.randint(0, 8))
-        lhs = transport(x, g.simple_element(b4, preferred_prefix(x)))
-        rhs = g.simple_element(b4, preferred_prefix(cyclic_sliding(x)))
+        lhs = transport(x, simple_element(b4, preferred_prefix(x)))
+        rhs = simple_element(b4, preferred_prefix(cyclic_sliding(x)))
         assert lhs == rhs
 
 
@@ -154,8 +159,8 @@ def test_transport_diagram_identity(b4, rng):
         x = random_element(b4, rng, rng.randint(0, 8))
         alpha = random_element(b4, rng, rng.randint(0, 5))
         t = transport(x, alpha)
-        lhs = g.simple_element(b4, preferred_prefix(x)) * t
-        rhs = alpha * g.simple_element(b4, preferred_prefix(x.conjugated(alpha)))
+        lhs = simple_element(b4, preferred_prefix(x)) * t
+        rhs = alpha * simple_element(b4, preferred_prefix(x.conjugated(alpha)))
         assert lhs == rhs
 
 
@@ -172,7 +177,7 @@ def _positive_sss_conjugator(z, rng, ctx):
 
 
 def test_transport_structure_on_sss(b4, rng):
-    delta = g.delta_power_element(b4, 1)
+    delta = delta_power_element(b4, 1)
     for _ in range(80):
         z = _sss_representative(random_element(b4, rng, rng.randint(1, 7)))
         alpha = _positive_sss_conjugator(z, rng, b4)
@@ -180,7 +185,7 @@ def test_transport_structure_on_sss(b4, rng):
         assert t.is_positive
         # powers of delta transport to themselves
         for k in (-1, 0, 1, 2):
-            assert transport(z, g.delta_power_element(b4, k)) == g.delta_power_element(b4, k)
+            assert transport(z, delta_power_element(b4, k)) == delta_power_element(b4, k)
         # simple conjugators transport to simples
         if alpha.sup <= 1 and alpha.is_positive:
             assert t.sup <= 1 and t.is_positive
@@ -216,7 +221,7 @@ def test_pullback_trivial(b4, rng):
     for _ in range(40):
         z = _sss_representative(random_element(b4, rng, rng.randint(1, 6)))
         y = cyclic_sliding(z)
-        assert pullback_step(z, y, g.identity_element(b4)).is_identity
+        assert pullback_step(z, y, identity_element(b4)).is_identity
 
 
 def test_pullback_minimality_against_witnesses(b4, rng):
@@ -235,13 +240,13 @@ def test_pullback_minimality_against_witnesses(b4, rng):
 
 def test_pullback_checked_mode_rejects_bad_anchor(b4, rng):
     z = _sss_representative(random_element(b4, rng, 5))
-    wrong = z * g.delta_power_element(b4, 1)
+    wrong = z * delta_power_element(b4, 1)
     with pytest.raises(GarsideError):
-        checked_pullback_step(z, wrong, g.identity_element(b4))
+        checked_pullback_step(z, wrong, identity_element(b4))
 
 
 def test_minimal_sss_conjugator_examples(b3, b5):
-    x = g.simple_element(b3, S1)
+    x = simple_element(b3, S1)
     assert minimal_sss_conjugator(x, x.inf, x.sup).is_identity
     y, s = _b5_example(b5)
     ys = y.conjugated(s)
@@ -262,11 +267,11 @@ def test_minimal_sss_conjugator_minimality(b3, rng):
         assert xr.inf >= v.inf and xr.sup <= v.sup
         if rho.is_positive and rho.sup <= 1:
             def hits_targets(s):
-                w = x.conjugated(g.simple_element(b3, s))
+                w = x.conjugated(simple_element(b3, s))
                 return w.inf >= v.inf and w.sup <= v.sup
 
             best = brute_minimal_simple(b3, simples, hits_targets)
-            assert g.simple_element(b3, best) == rho
+            assert simple_element(b3, best) == rho
             checked += 1
 
 
@@ -283,10 +288,10 @@ def test_trajectories(b3, b5):
     traj = slide_to_first_repetition(x)
     assert traj.entry_index == 0 and traj.period == 1 and traj.elements == (x,)
 
-    x = g.simple_element(b3, S1S2)
+    x = simple_element(b3, S1S2)
     traj = slide_to_first_repetition(x)
     assert traj.entry_index == 0 and traj.period == 2
-    assert set(traj.elements) == {x, g.simple_element(b3, S2S1)}
+    assert set(traj.elements) == {x, simple_element(b3, S2S1)}
 
     y, _ = _b5_example(b5)
     traj = slide_to_first_repetition(y)
