@@ -49,10 +49,10 @@ class WordParseError(GarsideError):
 
 def _mult(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
     """Image table of "u then v"."""
-    return tuple(v[x] for x in u)
+    return tuple(map(v.__getitem__, u))
 
 
-def _inverse(u: tuple[int, ...]) -> tuple[int, ...]:
+def _inverse(u) -> tuple[int, ...]:
     inv = [0] * len(u)
     for j, x in enumerate(u):
         inv[x] = j
@@ -60,62 +60,86 @@ def _inverse(u: tuple[int, ...]) -> tuple[int, ...]:
 
 
 # -- permutation-table kernels ------------------------------------------------
-# Pure functions of their tables; ``n`` is the table length.
+# Pure functions of their tables, with m = n − 1.  An atom left-divides a
+# table iff it is a descent there, so every meet is one _strip_descents
+# call; a sliding that strips nothing has a weighted pair and returns its
+# own inputs.
 
-def _right_complement(s):
-    """s⁻¹·Δ."""
-    m = len(s) - 1
-    return tuple(m - x for x in _inverse(s))
-
-
-def _left_complement(s):
-    """Δ·s⁻¹."""
-    return tuple(reversed(_inverse(s)))
-
-
-def _tau(s):
-    """Δ⁻¹·s·Δ."""
-    m = len(s) - 1
-    return tuple(m - x for x in reversed(s))
-
-
-def _gcd(s, t):
-    # Strip common descents, accumulating the stripped atoms as a product.
-    n = len(s)
-    s = list(s)
-    t = list(t)
-    g = list(range(n))
-    pos = list(range(n))
+def _strip_descents(a, c):
+    """Strip the common descents of the lists a and c in place; return the
+    original position of each entry (the inverse table of their gcd), or
+    None when they share no descent."""
+    m = len(a) - 1
     j = 0
-    while j < n - 1:
-        if s[j] > s[j + 1] and t[j] > t[j + 1]:
-            s[j], s[j + 1] = s[j + 1], s[j]
-            t[j], t[j + 1] = t[j + 1], t[j]
-            pj, pj1 = pos[j], pos[j + 1]
-            g[pj], g[pj1] = j + 1, j
-            pos[j], pos[j + 1] = pj1, pj
+    while j < m and (a[j] < a[j + 1] or c[j] < c[j + 1]):
+        j += 1
+    if j == m:
+        return None
+    pos = list(range(m + 1))
+    while j < m:
+        if a[j] > a[j + 1] and c[j] > c[j + 1]:
+            a[j], a[j + 1] = a[j + 1], a[j]
+            c[j], c[j + 1] = c[j + 1], c[j]
+            pos[j], pos[j + 1] = pos[j + 1], pos[j]
             # a strip can only create new common descents next door
             if j:
                 j -= 1
         else:
             j += 1
-    return tuple(g)
+    return pos
 
 
-def _local_sliding(s, t):
-    u = _gcd(_right_complement(s), t)
-    return _mult(s, u), _mult(_inverse(u), t)
+def _right_complement(s):
+    """s⁻¹·Δ."""
+    m = len(s) - 1
+    out = [0] * len(s)
+    for j, x in enumerate(s):
+        out[x] = m - j
+    return tuple(out)
+
+
+def _left_complement(s):
+    """Δ·s⁻¹."""
+    m = len(s) - 1
+    out = [0] * len(s)
+    for j, x in enumerate(s):
+        out[m - x] = j
+    return tuple(out)
+
+
+def _tau(s):
+    """Δ⁻¹·s·Δ."""
+    return tuple(map((len(s) - 1).__sub__, reversed(s)))
+
+
+def _gcd(s, t):
+    pos = _strip_descents(list(s), list(t))
+    return tuple(range(len(s))) if pos is None else _inverse(pos)
 
 
 def _rgcd(s, t):
     # reversing words maps a permutation braid to the braid of the inverse
     # permutation and the suffix order to the prefix order
-    return _inverse(_gcd(_inverse(s), _inverse(t)))
+    pos = _strip_descents(list(_inverse(s)), list(_inverse(t)))
+    return tuple(range(len(s))) if pos is None else tuple(pos)
+
+
+def _local_sliding(s, t):
+    # u = ∂s ∧ t; ∂s stripped by u is ∂(s·u), so s·u is its left complement
+    a, c = list(_right_complement(s)), list(t)
+    if _strip_descents(a, c) is None:
+        return s, t
+    return _left_complement(a), tuple(c)
 
 
 def _local_right_sliding(s, t):
-    u = _rgcd(s, _left_complement(t))
-    return _mult(s, _inverse(u)), _mult(u, t)
+    # with u = s ∧ʳ Δ·t⁻¹, the inverse tables of s and of Δ·t⁻¹ stripped of
+    # their common prefix are those of s·u⁻¹ and of Δ·(u·t)⁻¹
+    m = len(s) - 1
+    a, c = list(_inverse(s)), list(map(m.__sub__, t))
+    if _strip_descents(a, c) is None:
+        return s, t
+    return _inverse(a), tuple(map(m.__sub__, c))
 
 
 #: Most entries one kernel cache of a BraidContext holds; a full cache
@@ -130,6 +154,7 @@ class BraidContext(GarsideContext):
         if n < 2:
             raise GarsideError(f"need at least 2 strands, got {n}")
         self.n = n
+        self._sorted_table = list(range(n))
         cache = functools.lru_cache(MEMO_LIMIT)
         self._right_complements = cache(_right_complement)
         self._left_complements = cache(_left_complement)
@@ -167,7 +192,7 @@ class BraidContext(GarsideContext):
 
     def check_simple(self, s: Simple) -> None:
         self._shape_check(s)
-        if any(type(x) is not int for x in s) or sorted(s) != list(range(self.n)):
+        if set(map(type, s)) != {int} or sorted(s) != self._sorted_table:
             raise ContextMismatchError(f"not a permutation table: {s!r}")
 
     def _check_atom(self, a: Atom) -> int:

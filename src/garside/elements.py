@@ -61,7 +61,8 @@ def _prepend(ctx: GarsideContext, p: int, fs: list, s: Simple) -> int:
     """Multiply Δ^p·fs on the left by the simple s; one forward sweep."""
     if s == ctx.identity:
         return p
-    s = ctx.tau_power(s, p)
+    if p:
+        s = ctx.tau_power(s, p)
     if s == ctx.delta:
         return p + 1
     fs.insert(0, s)

@@ -185,13 +185,21 @@ MEMOIZED = [
 
 
 def _memo_pairs():
-    b4 = enumerate_simples(g.braid_context(4))
-    yield 4, list(itertools.product(b4, repeat=2))
-    ctx, rng = g.braid_context(6), random.Random(6)
-    yield 6, [(random_simple(ctx, rng), random_simple(ctx, rng)) for _ in range(1000)]
+    # every pair at n = 4 and 5 reaches both the no-op and the strip path
+    # of each kernel; the random pairs at large n make long strips step back
+    for n in (4, 5):
+        simples = enumerate_simples(g.braid_context(n))
+        yield n, list(itertools.product(simples, repeat=2))
+    for n, count in ((6, 1000), (8, 200), (12, 200), (16, 200)):
+        ctx, rng = g.braid_context(n), random.Random(n)
+        yield n, [(random_simple(ctx, rng), random_simple(ctx, rng)) for _ in range(count)]
 
 
-@pytest.mark.parametrize("n, pairs", list(_memo_pairs()), ids=["b4-all", "b6-random"])
+@pytest.mark.parametrize(
+    "n, pairs",
+    list(_memo_pairs()),
+    ids=["b4-all", "b5-all", "b6-random", "b8-random", "b12-random", "b16-random"],
+)
 def test_memoized_overrides_match_generic(n, pairs):
     ctx = g.braid_context(n)
     for name, arguments in MEMOIZED:

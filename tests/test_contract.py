@@ -154,6 +154,11 @@ def test_check_simple_rejects_non_int_entries(b2, b3):
         b3.check_simple((0, "a", 2))
     with pytest.raises(ContextMismatchError):
         b2.check_simple(((0, 1), 1))
+    # a float or a bool equal to a valid entry is still not an int
+    with pytest.raises(ContextMismatchError):
+        b3.check_simple((0, 1.0, 2))
+    with pytest.raises(ContextMismatchError):
+        b2.check_simple((True, 0))
 
 
 def test_element_context_mismatch(b3, b4):
